@@ -54,9 +54,7 @@ from .fileio import (
     format_family,
     load_family,
     parse_family,
-    parse_family_file,
     save_family,
-    write_family_file,
 )
 from .formulas import (
     binom,

@@ -6,18 +6,19 @@ Every subcommand emits a single JSON report on stdout:
 
 where each entry of checks carries {name, pass, lhs, rhs} so a failed
 comparison is diagnosable from the report alone.  Exit status: 0 when all
-checks pass, 1 when any check fails, 2 on usage or domain errors.
+checks pass, 1 when any check fails, 2 on usage or domain errors (among them
+``switch`` on a family with n < 2k), 3 when an internal invariant fails,
+which is a bug.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
-from .certify import certify_grid
+from .certify import GRID_CHECKS, certify_grid
 from .constructions import c3, cross_closure, full_star, hilton_milner, t2, t2prime
 from .covers import (
     count_hitting_sets,
@@ -26,7 +27,7 @@ from .covers import (
     minimal_tau2_subfamily,
     representative_pools,
 )
-from .errors import DomainError, ParseError, ScaleError
+from .errors import DomainError, InvariantError, ParseError, ScaleError
 from .families import (
     Family,
     canonical_form,
@@ -36,7 +37,7 @@ from .families import (
     max_degree,
     max_degree_element,
 )
-from .fileio import parse_family_file, write_family_file
+from .fileio import load_family, save_family
 from .formulas import (
     binom,
     f_of_z,
@@ -78,33 +79,39 @@ def _emit(command: str, params: dict, results, checks: list, t0: float) -> int:
 
 
 def _load(path: str, canonical: bool = False) -> Family:
-    fam = parse_family_file(path)
+    fam = load_family(path)
     return canonical_form(fam) if canonical else fam
 
 
+def _lookup(table: dict, key: str, args, what: str):
+    """The function table[key] names, once args hold every option it needs."""
+    needs, func = table[key]
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise DomainError(f"{what} {key} needs {' '.join(missing)}")
+    return func
+
+
+# construction -> (options it needs, builder); --n only widens t2 and t2prime
+CONSTRUCTIONS = {
+    "c3": (("n", "k"), lambda a: c3(a.n, a.k)),
+    "t2": (("k",), lambda a: t2(a.k, a.n)),
+    "t2prime": (("s",), lambda a: t2prime(a.s, a.n)),
+    "star": (("n", "k"), lambda a: full_star(a.n, a.k)),
+    "hm": (("n", "k"), lambda a: hilton_milner(a.n, a.k)),
+}
+
+
 def _cmd_construct(args, t0) -> int:
-    which = args.which
-    if which == "c3":
-        fam = c3(args.n, args.k)
-    elif which == "t2":
-        fam = t2(args.k, args.n)
-    elif which == "t2prime":
-        fam = t2prime(args.s, args.n)
-    elif which == "star":
-        fam = full_star(args.n, args.k)
-    elif which == "hm":
-        fam = hilton_milner(args.n, args.k)
-    else:
-        raise DomainError(f"unknown construction {which!r}")
+    fam = _lookup(CONSTRUCTIONS, args.which, args, "construct")(args)
     if args.canonical:
         fam = canonical_form(fam)
-    if args.output:
-        write_family_file(fam, args.output)
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command") and v is not None}
     results = {"n": fam.n, "size": len(fam.members), "members": _sets(fam)}
     if args.output:
+        save_family(fam, args.output)
         results["written"] = args.output
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "command") and v is not None}
     return _emit("construct", params, results, [], t0)
 
 
@@ -185,7 +192,7 @@ def _cmd_shift(args, t0) -> int:
     fam = _load(args.family)
     out = shift_family(fam, args.i, args.j)
     if args.output:
-        write_family_file(out, args.output)
+        save_family(out, args.output)
     results = {
         "size": len(out.members),
         "changed": out != fam,
@@ -201,7 +208,7 @@ def _cmd_switch(args, t0) -> int:
     fam = _load(args.family)
     res = switch_pipeline(fam)
     if args.output and res.converged:
-        write_family_file(res.family, args.output)
+        save_family(res.family, args.output)
     results = {
         "status": res.status,
         "passes": res.passes,
@@ -262,71 +269,73 @@ def _cmd_spread(args, t0) -> int:
     return _emit("spread", {"family": args.family, "r": str(r)}, results, checks, t0)
 
 
+def _counted(tag: str, formula: int, fam: Family) -> tuple:
+    """A closed-form count against the size of the family it counts."""
+    enum = len(fam.members)
+    return {"formula": formula, "enumerated": enum}, [(tag, formula, enum)]
+
+
+def _formula_fz(a) -> tuple:
+    val = f_of_z(a.m, a.s, a.k, a.z)
+    base = {2: t2prime, 3: t2}.get(a.z)  # the z with a construction to count
+    if base is None:
+        return {"formula": val}, []
+    return _counted("fz-size", val, cross_closure(base(a.s, a.m), a.k - 1))
+
+
+def _formula_fprime3(a) -> tuple:
+    diff = f_of_z(a.m, a.s, a.k, 3) - fprime3(a.m, a.s, a.k)
+    gap = binom(a.m - a.s - 3, a.k - 3)
+    return {"fprime3": fprime3(a.m, a.s, a.k), "gap": diff}, [("fprime3-gap", diff, gap)]
+
+
+def _formula_hm(a) -> tuple:
+    results, pairs = _counted("hm-size", hm_size(a.n, a.k), hilton_milner(a.n, a.k))
+    return results, pairs + [("hm-bound-match", results["formula"], thm1_bound(a.n, a.k, a.k))]
+
+
+def _formula_thm1(a) -> tuple:
+    u = a.u if a.u is not None else a.k
+    val = thm1_bound(a.n, a.k, u)
+    return {"bound": val, "u": u}, [("thm1-hm", val, hm_size(a.n, a.k))] if u == a.k else []
+
+
+def _formula_kz(a) -> tuple:
+    if a.j is None:
+        val = kz_bound(a.n, a.a, a.b)
+        return {"bound": val}, [("kz-plain", val, binom(a.n, a.a))]
+    val = kz_bound(a.n, a.a, a.b, a.j)
+    ident = binom(a.n, a.a) - binom(a.n - a.b, a.a) + 1
+    return {"bound": val, "j": a.j}, [("kz-j-eq-b", val, ident)] if a.j == a.b else []
+
+
+# formula -> (options it needs, evaluator); an evaluator returns the results
+# and the (check name, lhs, rhs) triples whose sides must be equal
+FORMULAS = {
+    "c3": (("n", "k"), lambda a: _counted("c3-size", size_c3(a.n, a.k), c3(a.n, a.k))),
+    "f2prime": (("m", "s", "k"), lambda a: _counted(
+        "f2prime-size", size_f2prime(a.m, a.s, a.k), cross_closure(t2prime(a.s, a.m), a.k - 1))),
+    "fz": (("m", "s", "k", "z"), _formula_fz),
+    "fprime3": (("m", "s", "k"), _formula_fprime3),
+    "hm": (("n", "k"), _formula_hm),
+    "thm1": (("n", "k"), _formula_thm1),
+    "kz": (("n", "a", "b"), _formula_kz),
+}
+
+
 def _verify_formula(args, t0) -> int:
-    name = args.name
-    checks = []
-    results = {}
-    if name == "c3":
-        val = size_c3(args.n, args.k)
-        enum = len(c3(args.n, args.k).members)
-        results = {"formula": val, "enumerated": enum}
-        checks.append(_check("c3-size", val == enum, val, enum))
-    elif name == "f2prime":
-        val = size_f2prime(args.m, args.s, args.k)
-        enum = len(cross_closure(t2prime(args.s, args.m), args.k - 1).members)
-        results = {"formula": val, "enumerated": enum}
-        checks.append(_check("f2prime-size", val == enum, val, enum))
-    elif name == "fz":
-        val = f_of_z(args.m, args.s, args.k, args.z)
-        results = {"formula": val}
-        if args.z == 2:
-            enum = len(cross_closure(t2prime(args.s, args.m), args.k - 1).members)
-            results["enumerated"] = enum
-            checks.append(_check("fz-size", val == enum, val, enum))
-        elif args.z == 3:
-            enum = len(cross_closure(t2(args.s, args.m), args.k - 1).members)
-            results["enumerated"] = enum
-            checks.append(_check("fz-size", val == enum, val, enum))
-    elif name == "fprime3":
-        diff = f_of_z(args.m, args.s, args.k, 3) - fprime3(args.m, args.s, args.k)
-        gap = binom(args.m - args.s - 3, args.k - 3)
-        results = {"fprime3": fprime3(args.m, args.s, args.k), "gap": diff}
-        checks.append(_check("fprime3-gap", diff == gap, diff, gap))
-    elif name == "hm":
-        val = hm_size(args.n, args.k)
-        enum = len(hilton_milner(args.n, args.k).members)
-        results = {"formula": val, "enumerated": enum}
-        checks.append(_check("hm-size", val == enum, val, enum))
-        bound = thm1_bound(args.n, args.k, args.k)
-        checks.append(_check("hm-bound-match", val == bound, val, bound))
-    elif name == "thm1":
-        u = args.u if args.u is not None else args.k
-        val = thm1_bound(args.n, args.k, u)
-        results = {"bound": val, "u": u}
-        if u == args.k:
-            checks.append(_check("thm1-hm", val == hm_size(args.n, args.k),
-                                 val, hm_size(args.n, args.k)))
-    elif name == "kz":
-        if args.j is not None:
-            val = kz_bound(args.n, args.a, args.b, args.j)
-            results = {"bound": val, "j": args.j}
-            if args.j == args.b:
-                ident = binom(args.n, args.a) - binom(args.n - args.b, args.a) + 1
-                checks.append(_check("kz-j-eq-b", val == ident, val, ident))
-        else:
-            val = kz_bound(args.n, args.a, args.b)
-            results = {"bound": val}
-            checks.append(_check("kz-plain", val == binom(args.n, args.a),
-                                 val, binom(args.n, args.a)))
-    else:
-        raise DomainError(f"unknown formula {name!r}")
+    results, pairs = _lookup(FORMULAS, args.name, args, "verify formula")(args)
+    checks = [_check(name, lhs == rhs, lhs, rhs) for name, lhs, rhs in pairs]
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "mode", "command") and v is not None}
     return _emit("verify", params, results, checks, t0)
 
 
 def _verify_grid(args, t0) -> int:
-    ranges = json.loads(args.ranges) if args.ranges else None
+    ranges = json.loads(args.ranges) if args.ranges else {}
+    if not isinstance(ranges, dict) or not all(
+            isinstance(v, list) and all(type(x) is int for x in v) for v in ranges.values()):
+        raise DomainError("--ranges must map each dimension to a JSON list of integers")
     report = certify_grid(args.name, ranges=ranges, jobs=args.jobs)
     payload = report.to_json()
     if not args.full:
@@ -337,14 +346,8 @@ def _verify_grid(args, t0) -> int:
                      len(report.failures()), 0)]
     params = {"name": args.name}
     if args.ranges:
-        params["ranges"] = json.loads(args.ranges)
+        params["ranges"] = ranges
     return _emit("verify", params, payload, checks, t0)
-
-
-def _cmd_verify(args, t0) -> int:
-    if args.mode == "formula":
-        return _verify_formula(args, t0)
-    return _verify_grid(args, t0)
 
 
 def _cmd_search(args, t0) -> int:
@@ -370,99 +373,68 @@ def _cmd_search(args, t0) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    jobs_default = int(os.environ.get("KFAM_JOBS", "1") or "1")
     top = argparse.ArgumentParser(prog="kfam")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named family")
-    p.add_argument("which", choices=["c3", "t2", "t2prime", "star", "hm"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--s", type=int)
+    p.add_argument("which", choices=list(CONSTRUCTIONS))
+    for name in ("n", "k", "s"):
+        p.add_argument(f"--{name}", type=int)
     p.add_argument("-o", "--output")
     p.add_argument("--canonical", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("stats", help="basic invariants of a family file")
-    p.add_argument("family")
-    p.add_argument("--canonical", action="store_true")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("tau", help="exact covering number")
-    p.add_argument("family")
-    p.add_argument("--expect", type=int)
-    p.set_defaults(func=_cmd_tau)
-
-    p = sub.add_parser("hitcount", help="count t-subsets meeting every member")
-    p.add_argument("family")
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=_cmd_hitcount)
-
-    p = sub.add_parser("minimal-tau2", help="minimal two-cover subfamily / class census")
-    p.add_argument("family", nargs="?")
-    p.add_argument("--m", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--intersecting-only", action="store_true")
-    p.set_defaults(func=_cmd_minimal_tau2)
-
-    p = sub.add_parser("shift", help="apply one (i,j)-compression")
-    p.add_argument("family")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_shift)
-
-    p = sub.add_parser("switch", help="run the exchange pipeline to a fixed point")
-    p.add_argument("family")
-    p.add_argument("--trace", metavar="FILE", help="write the exchange trace as JSON")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_switch)
-
-    p = sub.add_parser("peel", help="layer decomposition with reduction")
-    p.add_argument("family")
-    p.add_argument("--trace", metavar="FILE", help="write layers and reductions as JSON")
-    p.set_defaults(func=_cmd_peel)
-
-    p = sub.add_parser("spread", help="check r-spreadness")
-    p.add_argument("family")
-    p.add_argument("--r", required=True, help="ratio, e.g. 2 or 7/2")
-    p.set_defaults(func=_cmd_spread)
+    flag = {"action": "store_true"}
+    number = {"type": int, "required": True}
+    output = {"-o --output": {}}
+    # subcommands that read a family file -> (handler, help, their other options)
+    for name, func, help_, options in (
+        ("stats", _cmd_stats, "basic invariants of a family file", {"--canonical": flag}),
+        ("tau", _cmd_tau, "exact covering number", {"--expect": {"type": int}}),
+        ("hitcount", _cmd_hitcount, "count t-subsets meeting every member", {"--t": number}),
+        ("minimal-tau2", _cmd_minimal_tau2, "minimal two-cover subfamily / class census",
+         {"--m": {"type": int}, "--s": {"type": int}, "--intersecting-only": flag}),
+        ("shift", _cmd_shift, "apply one (i,j)-compression",
+         {"--i": number, "--j": number, **output}),
+        ("switch", _cmd_switch, "run the exchange pipeline to a fixed point",
+         {"--trace": {"metavar": "FILE", "help": "write the exchange trace as JSON"}, **output}),
+        ("peel", _cmd_peel, "layer decomposition with reduction",
+         {"--trace": {"metavar": "FILE", "help": "write layers and reductions as JSON"}}),
+        ("spread", _cmd_spread, "check r-spreadness",
+         {"--r": {"required": True, "help": "ratio, e.g. 2 or 7/2"}}),
+    ):
+        p = sub.add_parser(name, help=help_)
+        # the census form of minimal-tau2 takes --m and --s instead of a file
+        p.add_argument("family", nargs="?" if name == "minimal-tau2" else None)
+        for flags, kwargs in options.items():
+            p.add_argument(*flags.split(), **kwargs)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="formula identities and inequality grids")
     vs = p.add_subparsers(dest="mode", required=True)
     pf = vs.add_parser("formula")
-    pf.add_argument("--name", required=True,
-                    choices=["c3", "f2prime", "fz", "fprime3", "hm", "thm1", "kz"])
-    pf.add_argument("--n", type=int)
-    pf.add_argument("--k", type=int)
-    pf.add_argument("--s", type=int)
-    pf.add_argument("--m", type=int)
-    pf.add_argument("--z", type=int)
-    pf.add_argument("--u", type=int)
-    pf.add_argument("--a", type=int)
-    pf.add_argument("--b", type=int)
-    pf.add_argument("--j", type=int)
-    pf.set_defaults(func=_cmd_verify)
+    pf.add_argument("--name", required=True, choices=list(FORMULAS))
+    for name in ("n", "k", "s", "m", "z", "u", "a", "b", "j"):
+        pf.add_argument(f"--{name}", type=int)
+    pf.set_defaults(func=_verify_formula)
     pg = vs.add_parser("grid")
-    pg.add_argument("--name", required=True)
+    pg.add_argument("--name", required=True, choices=list(GRID_CHECKS))
     pg.add_argument("--ranges", help="JSON map of dimension -> value list")
-    pg.add_argument("--jobs", type=int, default=jobs_default)
+    pg.add_argument("--jobs", type=int, help="worker processes (default: KFAM_JOBS, else 1)")
     pg.add_argument("--full", action="store_true",
                     help="include every grid point in the report")
-    pg.set_defaults(func=_cmd_verify)
+    pg.set_defaults(func=_verify_grid)
 
     p = sub.add_parser("search", help="exhaustive oracles")
     ss = p.add_subparsers(dest="mode", required=True)
     sc = ss.add_parser("cnkt")
-    sc.add_argument("--n", type=int, required=True)
-    sc.add_argument("--k", type=int, required=True)
-    sc.add_argument("--t", type=int, required=True)
+    for name in ("n", "k", "t"):
+        sc.add_argument(f"--{name}", type=int, required=True)
     sc.add_argument("--all", "--all-optima", dest="all_optima", action="store_true")
     sc.set_defaults(func=_cmd_search)
     sl = ss.add_parser("lemmin")
-    sl.add_argument("--m", type=int, required=True)
-    sl.add_argument("--s", type=int, required=True)
-    sl.add_argument("--k", type=int, required=True)
+    for name in ("m", "s", "k"):
+        sl.add_argument(f"--{name}", type=int, required=True)
     sl.add_argument("--intersecting", "--intersecting-only",
                     dest="intersecting_only", action="store_true")
     sl.set_defaults(func=_cmd_search)
@@ -479,15 +451,15 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         return args.func(args, t0)
-    except (DomainError, ScaleError, ParseError) as exc:
+    except (DomainError, ScaleError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, json.JSONDecodeError, KeyError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -68,8 +68,3 @@ def load_family(path) -> Family:
 
 def save_family(fam: Family, path) -> None:
     Path(path).write_text(format_family(fam))
-
-
-# aliases under the operation names used by the command-line surface
-parse_family_file = load_family
-write_family_file = save_family

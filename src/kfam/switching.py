@@ -47,10 +47,6 @@ class SwitchContext:
     locked: int = 0  # mask of representatives fixed so far / the locked union
     i_prime: int | None = None
 
-    @property
-    def M(self) -> Family:
-        return self.core
-
 
 @dataclass
 class PipelineResult:
@@ -105,24 +101,13 @@ def exchange_Gi(fam: Family, ctx: SwitchContext, i: int, m) -> Family:
         if s & pivot_bit and (s & ~pivot_bit) & (want | rep_bit) == rep_bit
     }
     avail = full_mask(n) & ~(pivot_bit | rep_bit | want)
-    layer = []
+    layer = [m_mask]  # m comes back along with its layer
     for t in combinations(elements_of(avail), k - 2):
         tm = mask_of(t)
         if tm & m_mask:
             layer.append(pivot_bit | rep_bit | tm)
-    layer_set = set(layer)
-    if removed - layer_set:
-        raise InvariantError("a removed pivot-set escaped the replacement layer")
-    drop = b_side | removed
-    out = [s for s in fam.members if s not in drop]
-    out.extend(layer)
-    out.append(m_mask)
-    result = Family.from_masks(n, out)
-    if len(result) < len(fam):
-        raise InvariantError("exchange shrank the family despite the diversity hypothesis")
-    if not is_intersecting(result):
-        raise InvariantError("exchange broke the intersecting property")
-    return result
+    return _apply_exchange(fam, b_side, removed, layer, "exchange",
+                           " despite the diversity hypothesis")
 
 
 def exchange_transversal(fam: Family, ctx: SwitchContext, i_set) -> Family:
@@ -144,12 +129,11 @@ def exchange_transversal(fam: Family, ctx: SwitchContext, i_set) -> Family:
         raise DomainError("I must be nonempty")
     if i_mask & (locked | pivot_bit):
         raise DomainError("I must avoid the pivot and the locked elements")
-    z = len(ctx.core)
     isz = popcount(i_mask)
-    limit = z - 1 if ctx.stage == STAGE_TRANSVERSAL else z
+    limit, need = _stage_rule(ctx)
     if isz > limit:
         raise DomainError(f"|I| = {isz} exceeds the stage limit {limit}")
-    if ctx.stage == STAGE_TRANSVERSAL and ctx.i_prime is not None and not i_mask >> (ctx.i_prime - 1) & 1:
+    if i_mask & need != need:
         raise DomainError("this stage requires i' to lie in I")
     for cm in ctx.core.members:
         if not i_mask & (cm & ~locked):
@@ -186,17 +170,55 @@ def exchange_transversal(fam: Family, ctx: SwitchContext, i_set) -> Family:
         if s & pivot_bit and s & i_mask == i_mask and not s & locked
     }
     layer = [pivot_bit | i_mask | mask_of(t) for t in combinations(elements_of(y_mask), a)]
+    return _apply_exchange(fam, b_side, removed, layer, "transversal exchange")
+
+
+def _stage_rule(ctx: SwitchContext) -> tuple[int, int]:
+    """The largest |I| the context's stage admits, and the mask I must contain."""
+    z = len(ctx.core)
+    if ctx.stage == STAGE_TRANSVERSAL:
+        return z - 1, 0 if ctx.i_prime is None else 1 << (ctx.i_prime - 1)
+    return z, 0
+
+
+def _apply_exchange(fam: Family, stray: set, removed: set, layer: list,
+                    what: str, why: str = "") -> Family:
+    """The tail both exchanges share: swap the stray and removed sets for the
+    layer, then check that the family kept its size and stayed intersecting."""
     if removed - set(layer):
         raise InvariantError("a removed pivot-set escaped the replacement layer")
-    drop = b_side | removed
-    out = [s for s in fam.members if s not in drop]
-    out.extend(layer)
-    result = Family.from_masks(n, out)
+    drop = stray | removed
+    result = Family.from_masks(fam.n, [s for s in fam.members if s not in drop] + layer)
     if len(result) < len(fam):
-        raise InvariantError("transversal exchange shrank the family")
+        raise InvariantError(f"{what} shrank the family{why}")
     if not is_intersecting(result):
-        raise InvariantError("transversal exchange broke the intersecting property")
+        raise InvariantError(f"{what} broke the intersecting property")
     return result
+
+
+def _run_stage(f: Family, ctx: SwitchContext, stage: str, locked: int, log: list, passes: int):
+    """One transversal-type stage: with `locked` fixed, exchange at every I the
+    stage admits that meets each stripped core member, smallest first.  Yields
+    each new family, so a caller stopped by a refusal keeps the last one."""
+    ctx.stage = stage
+    ctx.locked = locked
+    limit, need = _stage_rule(ctx)
+    stripped = [cm & ~locked for cm in ctx.core.members]
+    allowed = full_mask(f.n) & ~((1 << (ctx.pivot - 1)) | locked)
+    for isz in range(1, min(limit, f.uniform_k - 1) + 1):
+        for combo in combinations(elements_of(allowed), isz):
+            im = mask_of(combo)
+            if im & need != need or any(not im & st for st in stripped):
+                continue
+            before = len(f)
+            f = exchange_transversal(f, ctx, im)
+            log.append(_entry(passes, stage, {"I": list(combo)}, before, f))
+            yield f
+
+
+def _entry(passes: int, stage: str, move: dict, before: int, f: Family) -> dict:
+    """One exchange's trace entry; written traces keep this key order."""
+    return {"pass": passes, "stage": stage, **move, "size_before": before, "size_after": len(f)}
 
 
 def _finish(f: Family, core: Family, pivot_bit: int, log: list, passes: int) -> PipelineResult:
@@ -211,17 +233,20 @@ def _finish(f: Family, core: Family, pivot_bit: int, log: list, passes: int) -> 
 def switch_pipeline(fam: Family) -> PipelineResult:
     """Drive the family to the normalized form by repeated exchanges.
 
-    Preconditions (domain errors): uniform k >= 3, intersecting, covering
-    number exactly 3, and the small-diversity hypothesis at the max-degree
-    pivot.  The core subfamily is re-derived each pass; when no element
-    outside pivot+representatives lies in two stripped core members, an
-    (i,j)-shift is tried before the next pass.  Passes are capped at
+    Preconditions (domain errors): uniform k >= 3, n >= 2k, intersecting,
+    covering number exactly 3, and the small-diversity hypothesis at the
+    max-degree pivot.  The core subfamily is re-derived each pass; when no
+    element outside pivot+representatives lies in two stripped core members,
+    an (i,j)-shift is tried before the next pass.  Passes are capped at
     C(n,z) * z.
     """
     n = fam.n
     k = fam.uniform_k
     if k is None or k < 3:
         raise DomainError("pipeline needs a uniform family with k >= 3")
+    if n < 2 * k:
+        # outside the n > 2k regime the exchanges can shrink the family
+        raise DomainError(f"pipeline needs n >= 2k, got n={n} k={k}")
     if not is_intersecting(fam):
         raise DomainError("pipeline needs an intersecting family")
     if covering_number(fam).tau != 3:
@@ -259,88 +284,49 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                 for rep, member in zip(tup, core.members):
                     before = len(f)
                     f = exchange_Gi(f, ctx, rep, member)
-                    log.append(
-                        {
-                            "pass": passes,
-                            "stage": STAGE_PER_ELEMENT,
-                            "rep": rep,
-                            "member": list(elements_of(member)),
-                            "size_before": before,
-                            "size_after": len(f),
-                        }
-                    )
+                    move = {"rep": rep, "member": list(elements_of(member))}
+                    log.append(_entry(passes, STAGE_PER_ELEMENT, move, before, f))
                     ctx.locked |= 1 << (rep - 1)
 
-            iprime_union = 0
-            for pool in pools:
-                iprime_union |= mask_of(pool)
+            iprime_union = mask_of(e for pool in pools for e in pool)
             core_set = set(core.members)
             u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
             if not u_sets:
                 return _finish(f, core, pivot_bit, log, passes)
-            for s in u_sets:
-                if s & iprime_union != iprime_union:
-                    raise InvariantError("stray avoid-set missing a representative element")
+            if any(s & iprime_union != iprime_union for s in u_sets):
+                raise InvariantError("stray avoid-set missing a representative element")
             stripped = [cm & ~iprime_union for cm in core.members]
             if any(st == 0 for st in stripped):
                 raise InvariantError("core member swallowed by the representative union")
 
-            banned = iprime_union | pivot_bit
             iprime = None
-            for x in range(1, n + 1):
-                xb = 1 << (x - 1)
-                if xb & banned:
-                    continue
-                if sum(1 for st in stripped if st & xb) >= 2:
+            for x in elements_of(full_mask(n) & ~(iprime_union | pivot_bit)):
+                if sum(1 for st in stripped if st >> (x - 1) & 1) >= 2:
                     iprime = x
                     break
             if iprime is None:
                 pair_pool = sorted(
                     {
                         (min(x, y), max(x, y))
-                        for ai, sa in enumerate(stripped)
-                        for bi, sb in enumerate(stripped)
-                        if ai < bi
+                        for sa, sb in combinations(stripped, 2)
                         for x in elements_of(sa)
                         for y in elements_of(sb)
                         if x != y
                     }
                 )
-                moved = False
                 for i, j in pair_pool:
                     g = shift_family(f, i, j)
                     if g != f:
                         log.append({"pass": passes, "stage": "shift", "i": i, "j": j})
                         f = g
-                        moved = True
                         break
-                if not moved:
+                else:
                     return PipelineResult(f, "aborted:shift-stuck", log, passes)
                 continue
 
-            ctx.stage = STAGE_TRANSVERSAL
-            ctx.locked = iprime_union
             ctx.i_prime = iprime
-            allowed = full_mask(n) & ~(pivot_bit | iprime_union)
-            for isz in range(1, min(z - 1, k - 1) + 1):
-                for combo in combinations(elements_of(allowed), isz):
-                    if iprime not in combo:
-                        continue
-                    im = mask_of(combo)
-                    if any(not im & st for st in stripped):
-                        continue
-                    before = len(f)
-                    f = exchange_transversal(f, ctx, im)
-                    log.append(
-                        {
-                            "pass": passes,
-                            "stage": STAGE_TRANSVERSAL,
-                            "I": list(combo),
-                            "size_before": before,
-                            "size_after": len(f),
-                        }
-                    )
-
+            for f in _run_stage(f, ctx, STAGE_TRANSVERSAL, iprime_union, log, passes):
+                pass
             u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
             if not u_sets:
                 return _finish(f, core, pivot_bit, log, passes)
@@ -349,28 +335,10 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                 raise InvariantError("a stray set avoiding i' survived the transversal stage")
 
             locked2 = iprime_union | ib
-            stripped2 = [cm & ~locked2 for cm in core.members]
-            if any(st == 0 for st in stripped2):
+            if any(cm & ~locked2 == 0 for cm in core.members):
                 raise InvariantError("extended stage reached with a fully locked core member")
-            ctx.stage = STAGE_EXTENDED
-            ctx.locked = locked2
-            allowed2 = full_mask(n) & ~(pivot_bit | locked2)
-            for isz in range(1, min(z, k - 1) + 1):
-                for combo in combinations(elements_of(allowed2), isz):
-                    im = mask_of(combo)
-                    if any(not im & st for st in stripped2):
-                        continue
-                    before = len(f)
-                    f = exchange_transversal(f, ctx, im)
-                    log.append(
-                        {
-                            "pass": passes,
-                            "stage": STAGE_EXTENDED,
-                            "I": list(combo),
-                            "size_before": before,
-                            "size_after": len(f),
-                        }
-                    )
+            for f in _run_stage(f, ctx, STAGE_EXTENDED, locked2, log, passes):
+                pass
             u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
             if u_sets:
                 raise InvariantError("stray sets survived the extended stage")

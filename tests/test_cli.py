@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from kfam import cli
 from kfam.cli import run
+from kfam.errors import InvariantError
 
 
 def _invoke(capsys, argv):
@@ -54,13 +56,29 @@ def test_failed_check_exits_one(capsys, fixtures_dir):
     assert report["checks"][0]["rhs"] == 5
 
 
-def test_usage_and_domain_errors_exit_two(capsys, tmp_path):
+def test_usage_and_domain_errors_exit_two(capsys, tmp_path, fixtures_dir, monkeypatch):
     assert run(["no-such-command"]) == 2
     assert run(["tau", str(tmp_path / "missing.fam")]) == 2
     assert run(["construct", "c3", "--n", "5", "--k", "4"]) == 2
     assert run(["verify", "grid", "--name", "f-mono", "--ranges", "{bad json"]) == 2
+    assert run(["verify", "grid", "--name", "f-mono", "--ranges", '{"k": 5}']) == 2
+    assert "--ranges" in capsys.readouterr().err
     assert run(["verify", "grid", "--name", "unknown-grid"]) == 2
-    capsys.readouterr()
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(["construct", "c3", "--k", "4"]) == 2
+    assert capsys.readouterr().err == "error: construct c3 needs --n\n"
+    assert run(["construct", "t2prime", "--n", "8"]) == 2
+    assert capsys.readouterr().err == "error: construct t2prime needs --s\n"
+    assert run(["verify", "formula", "--name", "kz", "--n", "9"]) == 2
+    assert capsys.readouterr().err == "error: verify formula kz needs --a --b\n"
+    assert run(["switch", str(fixtures_dir / "switch_small_n9_k5.fam")]) == 2
+    assert "n >= 2k" in capsys.readouterr().err
+    # a broken internal guarantee is a bug, told apart from a failed check (1)
+    def broken(fam):
+        raise InvariantError("exchange shrank the family")
+    monkeypatch.setattr(cli, "switch_pipeline", broken)
+    assert run(["switch", str(fixtures_dir / "c3_n9_k4.fam")]) == 3
+    assert capsys.readouterr().err == "internal error: exchange shrank the family\n"
 
 
 def test_stats_fixture(capsys, fixtures_dir):

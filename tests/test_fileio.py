@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import random_uniform_family
 from kfam.errors import ParseError
-from kfam.fileio import (
-    format_family,
-    parse_family,
-    parse_family_file,
-    write_family_file,
-)
+from kfam.fileio import format_family, load_family, parse_family, save_family
 from kfam.families import family
 
 
@@ -33,8 +28,8 @@ def test_round_trip(seed, n, k, size):
 def test_file_round_trip(tmp_path):
     fam = family(6, [{1, 2, 3}, {1, 4, 5}, {2, 4, 6}])
     path = tmp_path / "f.fam"
-    write_family_file(fam, path)
-    assert parse_family_file(path) == fam
+    save_family(fam, path)
+    assert load_family(path) == fam
 
 
 def test_comments_and_blanks_ignored():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from kfam import switching
 from kfam.constructions import c3, full_star, t2
 from kfam.covers import covering_number, minimal_tau2_subfamily, representative_pools
 from kfam.errors import DomainError, ExchangeError
@@ -13,6 +14,7 @@ from kfam.families import (
     max_degree_element,
     restrict_avoid,
 )
+from kfam.fileio import load_family
 from kfam.formulas import binom
 from kfam.switching import SwitchContext, exchange_Gi, switch_pipeline
 
@@ -70,7 +72,7 @@ def test_pipeline_absorbs_stray_set():
     assert minimal_tau2_subfamily(avoid).subfamily.member_set == avoid.member_set
 
 
-def test_pipeline_entry_guards():
+def test_pipeline_entry_guards(fixtures_dir):
     with pytest.raises(DomainError):
         switch_pipeline(full_star(9, 4))  # tau = 1
     with pytest.raises(DomainError):
@@ -79,6 +81,33 @@ def test_pipeline_entry_guards():
         switch_pipeline(family(9, [{1, 2}, {1, 2, 3}]))  # not uniform
     with pytest.raises(DomainError):
         switch_pipeline(family(6, [{1, 2}, {3, 4}, {1, 3}]))  # not intersecting
+    # n < 2k: tau = 3, intersecting and inside the diversity cap, but an
+    # exchange would shrink it
+    small = load_family(fixtures_dir / "switch_small_n9_k5.fam")
+    assert (small.n, small.uniform_k, len(small)) == (9, 5, 76)
+    assert covering_number(small).tau == 3 and is_intersecting(small)
+    with pytest.raises(DomainError, match="n >= 2k"):
+        switch_pipeline(small)
+
+
+def test_refusal_mid_stage_keeps_the_last_family(fixtures_dir, monkeypatch):
+    # an abort reports the family as of the last exchange that went through,
+    # not the one its stage started from
+    fam = load_family(fixtures_dir / "switch_transversal_n11_k5.fam")
+    real = switching.exchange_transversal
+    done = []
+
+    def refuse_after_a_change(f, ctx, i_set):
+        if any(out != before for before, out in done):
+            raise ExchangeError("corollary-hypothesis: refused by the test")
+        done.append((f, real(f, ctx, i_set)))
+        return done[-1][1]
+
+    monkeypatch.setattr(switching, "exchange_transversal", refuse_after_a_change)
+    res = switch_pipeline(fam)
+    assert res.status == "aborted:corollary-hypothesis"
+    assert res.trace[-1]["stage"] == "transversal"
+    assert res.family == done[-1][1] != done[0][0]
 
 
 def test_pipeline_rejects_k3_diversity():
