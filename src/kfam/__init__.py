@@ -10,7 +10,6 @@ search oracles, all behind one CLI.
 
 from .certify import (
     ACCEPTANCE_GRIDS,
-    FormulaParams,
     GridPoint,
     GridReport,
     certify_grid,

@@ -9,39 +9,17 @@ reason rather than evaluated.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from multiprocessing import Pool
 
-from .formulas import binom, f_of_z, fprime3, hm_size, size_c3, thm1_bound
+from .errors import DomainError
+from .formulas import binom, f_of_z, fprime3, size_c3, thm1_bound
 
 # e in [2718281828, 2718281829] / 10^9; sqrt(e) likewise.
 E_LO = Fraction(2_718_281_828, 10**9)
 E_HI = Fraction(2_718_281_829, 10**9)
 SQRT_E_LO = Fraction(1_648_721_270, 10**9)
 SQRT_E_HI = Fraction(1_648_721_272, 10**9)
-
-
-@dataclass(frozen=True)
-class FormulaParams:
-    n: int | None = None
-    k: int | None = None
-    s: int | None = None
-    m: int | None = None
-    z: int | None = None
-    u: int | None = None
-    t: int | None = None
-    j: int | None = None
-    i: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if value is not None
-        }
 
 
 @dataclass(frozen=True)
@@ -55,30 +33,32 @@ class GridPoint:
 
 @dataclass
 class GridReport:
+    """Counts over every point of a grid.  points keeps the points that did
+    not pass (failed or skipped), or every point of a full report."""
+
     name: str
+    total: int = 0
+    checked: int = 0
+    passed: int = 0
     points: list = field(default_factory=list)
 
     @property
-    def checked(self) -> list:
-        return [p for p in self.points if p.skipped is None]
-
-    @property
     def n_skipped(self) -> int:
-        return len(self.points) - len(self.checked)
+        return self.total - self.checked
 
     @property
     def all_pass(self) -> bool:
-        return all(p.passed for p in self.checked)
+        return self.passed == self.checked
 
     def failures(self) -> list:
-        return [p for p in self.checked if not p.passed]
+        return [p for p in self.points if p.skipped is None and not p.passed]
 
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "total": len(self.points),
-            "checked": len(self.checked),
-            "passed": sum(1 for p in self.checked if p.passed),
+            "total": self.total,
+            "checked": self.checked,
+            "passed": self.passed,
             "skipped": self.n_skipped,
             "all_pass": self.all_pass,
             "points": [
@@ -94,141 +74,126 @@ class GridReport:
         }
 
 
-@lru_cache(maxsize=1 << 17)
-def _f(m: int, s: int, k: int, z: int) -> int:
-    return f_of_z(m, s, k, z)
-
-
 def _g(n: int, k: int, i: int) -> int:
     """The layer weight i^i C(n-i, k-i)."""
     return i**i * binom(n - i, k - i)
 
 
-def _skip(p: FormulaParams, reason: str) -> GridPoint:
-    return GridPoint(p.as_dict(), skipped=reason)
+# each check maps a point's parameters to a GridPoint; lhs/rhs hold the
+# compared integer tuples so a failure is diagnosable from the report alone
 
-
-# each check maps FormulaParams -> GridPoint; lhs/rhs hold the compared
-# integer tuples so a failure is diagnosable from the report alone
-
-def _check_f_mono(p: FormulaParams) -> GridPoint:
-    k, s, m, z = p.k, p.s, p.m, p.z
-    if k is None or k < 4:
-        return _skip(p, "needs k >= 4")
-    if s is None or not 2 <= s <= k:
-        return _skip(p, "needs 2 <= s <= k")
-    if m is None or m < k + s:
-        return _skip(p, "needs m >= k+s")
-    if z is None or not 3 <= z <= s + 1:
-        return _skip(p, "needs 3 <= z <= s+1")
-    diff = _f(m, s, k, z - 1) - _f(m, s, k, z)
+def _check_f_mono(p: dict) -> GridPoint:
+    k, s, m, z = p["k"], p["s"], p["m"], p["z"]
+    if k < 4:
+        return GridPoint(p, skipped="needs k >= 4")
+    if not 2 <= s <= k:
+        return GridPoint(p, skipped="needs 2 <= s <= k")
+    if m < k + s:
+        return GridPoint(p, skipped="needs m >= k+s")
+    if not 3 <= z <= s + 1:
+        return GridPoint(p, skipped="needs 3 <= z <= s+1")
+    diff = f_of_z(m, s, k, z - 1) - f_of_z(m, s, k, z)
     step = binom(m - s - 2, k - 3)
-    return GridPoint(p.as_dict(), (diff, step), (step, 1), diff >= step and step > 1)
+    return GridPoint(p, (diff, step), (step, 1), diff >= step and step > 1)
 
 
-def _check_f3_fprime3(p: FormulaParams) -> GridPoint:
-    k, s, m = p.k, p.s, p.m
-    if k is None or k < 4:
-        return _skip(p, "needs k >= 4")
-    if s is None or not 4 <= s <= k:
-        return _skip(p, "needs 4 <= s <= k")
-    if m is None or m < k + s:
-        return _skip(p, "needs m >= k+s")
-    diff = _f(m, s, k, 3) - fprime3(m, s, k)
+def _check_f3_fprime3(p: dict) -> GridPoint:
+    k, s, m = p["k"], p["s"], p["m"]
+    if k < 4:
+        return GridPoint(p, skipped="needs k >= 4")
+    if not 4 <= s <= k:
+        return GridPoint(p, skipped="needs 4 <= s <= k")
+    if m < k + s:
+        return GridPoint(p, skipped="needs m >= k+s")
+    diff = f_of_z(m, s, k, 3) - fprime3(m, s, k)
     target = binom(m - s - 3, k - 3)
-    return GridPoint(p.as_dict(), (diff, target), (target, 1), diff == target and target >= 1)
+    return GridPoint(p, (diff, target), (target, 1), diff == target and target >= 1)
 
 
-def _check_g_ratio(p: FormulaParams) -> GridPoint:
-    n, k, i = p.n, p.k, p.i
-    if k is None or k < 100:
-        return _skip(p, "needs k >= 100")
-    if n is None or n <= 2 * (k - 1) ** 2:
-        return _skip(p, "needs n > 2(k-1)^2")
-    if i is None or not 6 <= i <= k:
-        return _skip(p, "needs 6 <= i <= k")
+def _check_g_ratio(p: dict) -> GridPoint:
+    n, k, i = p["n"], p["k"], p["i"]
+    if k < 100:
+        return GridPoint(p, skipped="needs k >= 100")
+    if n <= 2 * (k - 1) ** 2:
+        return GridPoint(p, skipped="needs n > 2(k-1)^2")
+    if not 6 <= i <= k:
+        return GridPoint(p, skipped="needs 6 <= i <= k")
     lhs = 2 * _g(n, k, i)
     rhs = _g(n, k, i - 1)
-    return GridPoint(p.as_dict(), (lhs,), (rhs,), lhs < rhs)
+    return GridPoint(p, (lhs,), (rhs,), lhs < rhs)
 
 
-def _check_two_g5(p: FormulaParams) -> GridPoint:
-    n, k = p.n, p.k
-    if k is None or k < 100:
-        return _skip(p, "needs k >= 100")
-    if n is None or n <= 2 * (k - 1) ** 2:
-        return _skip(p, "needs n > 2(k-1)^2")
+def _check_two_g5(p: dict) -> GridPoint:
+    n, k = p["n"], p["k"]
+    if k < 100:
+        return GridPoint(p, skipped="needs k >= 100")
+    if n <= 2 * (k - 1) ** 2:
+        return GridPoint(p, skipped="needs n > 2(k-1)^2")
     lhs = 2 * _g(n, k, 5)
     rhs = binom(n - 5, k - 3)
-    return GridPoint(p.as_dict(), (lhs,), (rhs,), lhs < rhs)
+    return GridPoint(p, (lhs,), (rhs,), lhs < rhs)
 
 
-def _check_eqc3large(p: FormulaParams) -> GridPoint:
-    n, k = p.n, p.k
-    if k is None or k < 100:
-        return _skip(p, "needs k >= 100")
-    if n is None or n <= 2 * (k - 1) ** 2:
-        return _skip(p, "needs n > 2(k-1)^2")
+def _check_eqc3large(p: dict) -> GridPoint:
+    n, k = p["n"], p["k"]
+    if k < 100:
+        return GridPoint(p, skipped="needs k >= 100")
+    if n <= 2 * (k - 1) ** 2:
+        return GridPoint(p, skipped="needs n > 2(k-1)^2")
     # |C3| >= (k^2-k+1) C(n-3,k-3) / sqrt(e); adverse end is the lower
     # enclosure endpoint, giving the largest rational right-hand side
     lhs = size_c3(n, k) * SQRT_E_LO.numerator
     rhs = (k * k - k + 1) * binom(n - 3, k - 3) * SQRT_E_LO.denominator
-    return GridPoint(p.as_dict(), (lhs,), (rhs,), lhs >= rhs)
+    return GridPoint(p, (lhs,), (rhs,), lhs >= rhs)
 
 
-def _check_eqboundf(p: FormulaParams) -> GridPoint:
-    n, k = p.n, p.k
-    if k is None or k < 100:
-        return _skip(p, "needs k >= 100")
-    if n is None or n < 50 * (k - 1) + 1:
-        return _skip(p, "needs n >= 50(k-1)+1")
+def _check_eqboundf(p: dict) -> GridPoint:
+    n, k = p["n"], p["k"]
+    if k < 100:
+        return GridPoint(p, skipped="needs k >= 100")
+    if n < 50 * (k - 1) + 1:
+        return GridPoint(p, skipped="needs n >= 50(k-1)+1")
     lhs1 = thm1_bound(n, k, 4)
     rhs1 = 5 * binom(n - 2, k - 2)
     lhs2 = 50 * binom(n - 2, k - 2)
     rhs2 = binom(n - 1, k - 1)
-    return GridPoint(
-        p.as_dict(), (lhs1, lhs2), (rhs1, rhs2), lhs1 <= rhs1 and lhs2 <= rhs2
-    )
+    return GridPoint(p, (lhs1, lhs2), (rhs1, rhs2), lhs1 <= rhs1 and lhs2 <= rhs2)
 
 
-def _check_eqboundc2(p: FormulaParams) -> GridPoint:
-    n, k = p.n, p.k
-    if k is None or k < 4:
-        return _skip(p, "needs k >= 4")
-    if n is None or n <= 2 * k:
-        return _skip(p, "needs n > 2k")
+def _check_eqboundc2(p: dict) -> GridPoint:
+    n, k = p["n"], p["k"]
+    if k < 4:
+        return GridPoint(p, skipped="needs k >= 4")
+    if n <= 2 * k:
+        return GridPoint(p, skipped="needs n > 2k")
     lhs1 = binom(n - k - 2, k - 2) + sum(binom(n - k - i, k - 2) for i in range(2, k + 1))
     rhs1 = binom(n - k, k - 1)
     lhs2 = binom(n - 1, k - 1) - 2 * binom(n - k, k - 1)
     rhs2 = size_c3(n, k)
-    return GridPoint(
-        p.as_dict(), (lhs1, lhs2), (rhs1, rhs2), lhs1 <= rhs1 and lhs2 <= rhs2
-    )
+    return GridPoint(p, (lhs1, lhs2), (rhs1, rhs2), lhs1 <= rhs1 and lhs2 <= rhs2)
 
 
-def _check_peel_combine(p: FormulaParams) -> GridPoint:
-    n, k = p.n, p.k
-    if k is None or k < 100:
-        return _skip(p, "needs k >= 100")
-    if n is None or n <= 2 * (k - 1) ** 2:
-        return _skip(p, "needs n > 2(k-1)^2")
+def _check_peel_combine(p: dict) -> GridPoint:
+    n, k = p["n"], p["k"]
+    if k < 100:
+        return GridPoint(p, skipped="needs k >= 100")
+    if n <= 2 * (k - 1) ** 2:
+        return GridPoint(p, skipped="needs n > 2(k-1)^2")
     lhs = 3**5 * binom(n - 3, k - 3) + 4**5 * binom(n - 4, k - 4) + 2 * _g(n, k, 5)
     rhs = 250 * binom(n - 3, k - 3)
-    return GridPoint(p.as_dict(), (lhs,), (rhs,), lhs <= rhs)
+    return GridPoint(p, (lhs,), (rhs,), lhs <= rhs)
 
 
-def _check_final_compare(p: FormulaParams) -> GridPoint:
-    k = p.k
-    if k is None or k < 100:
-        return _skip(p, "needs k >= 100")
+def _check_final_compare(p: dict) -> GridPoint:
+    k = p["k"]
+    if k < 100:
+        return GridPoint(p, skipped="needs k >= 100")
     # (k^2-k+1)/sqrt(e) > 50k against the upper enclosure endpoint
     lhs1 = (k * k - k + 1) * SQRT_E_HI.denominator
     rhs1 = 50 * k * SQRT_E_HI.numerator
     lhs2 = 50 * k
     rhs2 = 4 * k + 250
-    return GridPoint(
-        p.as_dict(), (lhs1, lhs2), (rhs1, rhs2), lhs1 > rhs1 and lhs2 > rhs2
-    )
+    return GridPoint(p, (lhs1, lhs2), (rhs1, rhs2), lhs1 > rhs1 and lhs2 > rhs2)
 
 
 def _big_nk(ov):
@@ -242,42 +207,42 @@ def _grid_f_mono(ov):
         for s in ov.get("s", range(2, k + 1)):
             for m in ov.get("m", range(k + s, k + s + 41)):
                 for z in ov.get("z", range(3, s + 2)):
-                    yield FormulaParams(k=k, s=s, m=m, z=z)
+                    yield {"k": k, "s": s, "m": m, "z": z}
 
 
 def _grid_f3_fprime3(ov):
     for k in ov.get("k", range(4, 41)):
         for s in ov.get("s", range(4, k + 1)):
             for m in ov.get("m", range(k + s, k + s + 41)):
-                yield FormulaParams(k=k, s=s, m=m)
+                yield {"k": k, "s": s, "m": m}
 
 
 def _grid_g_ratio(ov):
     for k, n in _big_nk(ov):
         for i in ov.get("i", range(6, k + 1)):
-            yield FormulaParams(n=n, k=k, i=i)
+            yield {"n": n, "k": k, "i": i}
 
 
 def _grid_big_nk(ov):
     for k, n in _big_nk(ov):
-        yield FormulaParams(n=n, k=k)
+        yield {"n": n, "k": k}
 
 
 def _grid_eqboundf(ov):
     for k in ov.get("k", (100, 120)):
         for n in ov.get("n", (50 * (k - 1) + 1, 2 * (k - 1) ** 2)):
-            yield FormulaParams(n=n, k=k)
+            yield {"n": n, "k": k}
 
 
 def _grid_eqboundc2(ov):
     for k in ov.get("k", (100, 120)):
         for n in ov.get("n", (2 * k + 1, 7 * k, 50 * (k - 1))):
-            yield FormulaParams(n=n, k=k)
+            yield {"n": n, "k": k}
 
 
 def _grid_final_compare(ov):
     for k in ov.get("k", (100, 120)):
-        yield FormulaParams(k=k)
+        yield {"k": k}
 
 
 GRID_CHECKS = {
@@ -296,30 +261,27 @@ GRID_CHECKS = {
 ACCEPTANCE_GRIDS = ("f-mono", "g-ratio", "two-g5", "eqc3large", "eqboundf")
 
 
-def _run_chunk(args):
-    name, chunk = args
-    check = GRID_CHECKS[name][1]
-    return [check(p) for p in chunk]
-
-
-def certify_grid(name: str, ranges: dict | None = None, jobs: int | None = None) -> GridReport:
-    """Evaluate one registered inequality over its (possibly overridden)
-    parameter grid.  ranges maps dimension names to explicit value lists;
-    jobs > 1 splits the grid across worker processes (default from
-    KFAM_JOBS), with a deterministic merged report either way."""
+def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> GridReport:
+    """Evaluate one registered inequality point by point over its (possibly
+    overridden) parameter grid.  ranges maps dimension names to explicit
+    value lists.  The report counts every point and keeps those that did not
+    pass, or every point when full is set."""
     if name not in GRID_CHECKS:
         raise KeyError(f"unknown inequality id: {name}; known: {sorted(GRID_CHECKS)}")
     grid, check = GRID_CHECKS[name]
-    points = list(grid(ranges or {}))
-    if jobs is None:
-        jobs = int(os.environ.get("KFAM_JOBS", "1") or "1")
+    ranges = ranges or {}
+    dims = next(grid({}))
+    unknown = [dim for dim in ranges if dim not in dims]
+    if unknown:
+        raise DomainError(f"grid {name} has no dimension {', '.join(unknown)};"
+                          f" its dimensions are {', '.join(dims)}")
     report = GridReport(name)
-    if jobs > 1 and len(points) > 1000:
-        chunk = 2000
-        work = [(name, points[i : i + chunk]) for i in range(0, len(points), chunk)]
-        with Pool(jobs) as pool:
-            for part in pool.map(_run_chunk, work):
-                report.points.extend(part)
-    else:
-        report.points.extend(check(p) for p in points)
+    for params in grid(ranges):
+        point = check(params)
+        report.total += 1
+        if point.skipped is None:
+            report.checked += 1
+            report.passed += point.passed
+        if full or not point.passed:
+            report.points.append(point)
     return report

@@ -257,8 +257,11 @@ def _cmd_peel(args, t0) -> int:
 
 
 def _cmd_spread(args, t0) -> int:
+    try:
+        r = Fraction(args.r)
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"--r must be a ratio such as 2 or 7/2, got {args.r!r}") from None
     fam = _load(args.family)
-    r = Fraction(args.r)
     res = is_r_spread(fam, r)
     results = {
         "r": str(r),
@@ -336,18 +339,12 @@ def _verify_grid(args, t0) -> int:
     if not isinstance(ranges, dict) or not all(
             isinstance(v, list) and all(type(x) is int for x in v) for v in ranges.values()):
         raise DomainError("--ranges must map each dimension to a JSON list of integers")
-    report = certify_grid(args.name, ranges=ranges, jobs=args.jobs)
-    payload = report.to_json()
-    if not args.full:
-        # keep stdout bounded on the large default grids; failures are
-        # always listed in full
-        payload["points"] = [p for p in payload["points"] if not p.get("pass", True)]
-    checks = [_check(f"grid-{args.name}", report.all_pass,
-                     len(report.failures()), 0)]
+    report = certify_grid(args.name, ranges=ranges, full=args.full)
+    checks = [_check(f"grid-{args.name}", report.all_pass, report.checked - report.passed, 0)]
     params = {"name": args.name}
     if args.ranges:
         params["ranges"] = ranges
-    return _emit("verify", params, payload, checks, t0)
+    return _emit("verify", params, report.to_json(), checks, t0)
 
 
 def _cmd_search(args, t0) -> int:
@@ -420,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pg = vs.add_parser("grid")
     pg.add_argument("--name", required=True, choices=list(GRID_CHECKS))
     pg.add_argument("--ranges", help="JSON map of dimension -> value list")
-    pg.add_argument("--jobs", type=int, help="worker processes (default: KFAM_JOBS, else 1)")
+    pg.add_argument("--jobs", type=int, help="ignored: grids run in one process")
     pg.add_argument("--full", action="store_true",
-                    help="include every grid point in the report")
+                    help="list every grid point, not only those that did not pass")
     pg.set_defaults(func=_verify_grid)
 
     p = sub.add_parser("search", help="exhaustive oracles")

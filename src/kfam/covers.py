@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DomainError, ScaleError
+from .errors import DomainError, InvariantError, ScaleError
 from .families import (
     Family,
     canonical_form,
@@ -159,7 +159,7 @@ def minimal_tau2_subfamily(fam: Family) -> MinimalTau2 | None:
     for i in range(len(sub.members)):
         pool = _rep_pool(sub.members, i)
         if pool == 0:
-            raise AssertionError("minimal two-cover subfamily without representatives")
+            raise InvariantError("minimal two-cover subfamily without representatives")
         reps.append(elements_of(pool)[0])
     return MinimalTau2(sub, tuple(reps))
 

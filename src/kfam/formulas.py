@@ -2,7 +2,10 @@
 
 Everything here is exact integer arithmetic.  Each nontrivial formula has a
 matching enumeration oracle in the test suite that recounts it from scratch
-at small parameters.
+at small parameters.  The counts that sum binomials over layers are in
+closed form by the hockey-stick identity
+sum_{j=a}^{b} C(j, r) = C(b+1, r+1) - C(a, r+1); their layer-by-layer sums
+are kept in tests/helpers.py as oracles.
 """
 
 from __future__ import annotations
@@ -55,13 +58,8 @@ def size_c3(n: int, k: int) -> int:
     """
     if not (k >= 3 and n >= 2 * k):
         raise DomainError(f"need k >= 3 and n >= 2k, got n={n} k={k}")
-    total = 3
-    # sets containing {1,2}: must still meet the third base set
-    total += binom(n - 2, k - 2) - binom(n - k - 2, k - 2)
-    # sets whose least element above 1 is i+1 (i = 2..k): meet the tail block
-    for i in range(2, k + 1):
-        total += binom(n - i - 1, k - 2) - binom(n - k - i, k - 2)
-    return total
+    return (3 + binom(n - 1, k - 1) - binom(n - k - 2, k - 2)
+            - 2 * binom(n - k - 1, k - 1) + binom(n - 2 * k, k - 1))
 
 
 def size_f2prime(m: int, s: int, k: int) -> int:
@@ -69,10 +67,7 @@ def size_f2prime(m: int, s: int, k: int) -> int:
     cover {[s], [s+1, 2s]}."""
     if not (s >= 1 and m >= 2 * s and k >= 2):
         raise DomainError(f"need s >= 1, m >= 2s, k >= 2, got m={m} s={s} k={k}")
-    total = 0
-    for l in range(1, s + 1):
-        total += binom(m - l, k - 2) - binom(m - s - l, k - 2)
-    return total
+    return binom(m, k - 1) - 2 * binom(m - s, k - 1) + binom(m - 2 * s, k - 1)
 
 
 def f_of_z(m: int, s: int, k: int, z: int) -> int:
@@ -85,12 +80,8 @@ def f_of_z(m: int, s: int, k: int, z: int) -> int:
         raise DomainError(f"need 2 <= z <= s+1, got z={z} s={s}")
     if not (m >= 2 * s and k >= 2):
         raise DomainError(f"need m >= 2s and k >= 2, got m={m} s={s} k={k}")
-    total = 0
-    for l in range(2, z + 1):
-        total += binom(m - l + 1, k - 2) - binom(m - s - 1, k - 2)
-    for l in range(1, s + 2 - z):
-        total += binom(m - z - l + 1, k - 2) - binom(m - s - 1 - l, k - 2)
-    return total
+    return (binom(m, k - 1) - binom(m - s, k - 1) - binom(m - s - 1, k - 1)
+            + binom(m - 2 * s + z - 2, k - 1) - (z - 1) * binom(m - s - 1, k - 2))
 
 
 def fprime3(m: int, s: int, k: int) -> int:
@@ -102,9 +93,8 @@ def fprime3(m: int, s: int, k: int) -> int:
     total += binom(m - 2, k - 2) - binom(m - s - 1, k - 2)
     total += binom(m - 3, k - 2) - binom(m - s - 2, k - 2)
     total += binom(m - 4, k - 2) - binom(m - s - 2, k - 2)
-    for l in range(1, s - 3):
-        total += binom(m - 4 - l, k - 2) - binom(m - s - 3 - l, k - 2)
-    return total
+    return (total + binom(m - 4, k - 1) - binom(m - s, k - 1)
+            - binom(m - s - 3, k - 1) + binom(m - 2 * s + 1, k - 1))
 
 
 def kz_bound(n: int, a: int, b: int, j: int | None = None) -> int:

@@ -10,6 +10,7 @@ import random
 from itertools import combinations, permutations
 
 from kfam.families import Family, mask_of
+from kfam.formulas import binom
 
 
 def brute_is_intersecting(fam: Family) -> bool:
@@ -82,3 +83,35 @@ def random_intersecting_family(rng: random.Random, n: int, k: int, target: int) 
         if all(m & o for o in out):
             out.append(m)
     return Family.from_masks(n, out)
+
+
+# Layer-by-layer sums of binomials: the forms the closed-form counts in
+# kfam.formulas were derived from by the hockey-stick identity.
+
+
+def sum_size_c3(n: int, k: int) -> int:
+    total = 3 + binom(n - 2, k - 2) - binom(n - k - 2, k - 2)
+    for i in range(2, k + 1):
+        total += binom(n - i - 1, k - 2) - binom(n - k - i, k - 2)
+    return total
+
+
+def sum_size_f2prime(m: int, s: int, k: int) -> int:
+    return sum(binom(m - l, k - 2) - binom(m - s - l, k - 2) for l in range(1, s + 1))
+
+
+def sum_f_of_z(m: int, s: int, k: int, z: int) -> int:
+    total = sum(binom(m - l + 1, k - 2) - binom(m - s - 1, k - 2) for l in range(2, z + 1))
+    for l in range(1, s + 2 - z):
+        total += binom(m - z - l + 1, k - 2) - binom(m - s - 1 - l, k - 2)
+    return total
+
+
+def sum_fprime3(m: int, s: int, k: int) -> int:
+    total = binom(m - 1, k - 2) - binom(m - s - 1, k - 2)
+    total += binom(m - 2, k - 2) - binom(m - s - 1, k - 2)
+    total += binom(m - 3, k - 2) - binom(m - s - 2, k - 2)
+    total += binom(m - 4, k - 2) - binom(m - s - 2, k - 2)
+    for l in range(1, s - 3):
+        total += binom(m - 4 - l, k - 2) - binom(m - s - 3 - l, k - 2)
+    return total

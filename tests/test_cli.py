@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kfam import cli
+from kfam import cli, covers
 from kfam.cli import run
 from kfam.errors import InvariantError
 
@@ -73,12 +73,25 @@ def test_usage_and_domain_errors_exit_two(capsys, tmp_path, fixtures_dir, monkey
     assert capsys.readouterr().err == "error: verify formula kz needs --a --b\n"
     assert run(["switch", str(fixtures_dir / "switch_small_n9_k5.fam")]) == 2
     assert "n >= 2k" in capsys.readouterr().err
+    assert run(["verify", "grid", "--name", "f-mono", "--ranges", '{"q": [4]}']) == 2
+    assert capsys.readouterr().err == (
+        "error: grid f-mono has no dimension q; its dimensions are k, s, m, z\n")
+    for ratio in ("abc", "1/0"):
+        assert run(["spread", str(fixtures_dir / "t2_k4.fam"), "--r", ratio]) == 2
+        assert capsys.readouterr().err.startswith("error: --r must be a ratio")
     # a broken internal guarantee is a bug, told apart from a failed check (1)
     def broken(fam):
         raise InvariantError("exchange shrank the family")
     monkeypatch.setattr(cli, "switch_pipeline", broken)
     assert run(["switch", str(fixtures_dir / "c3_n9_k4.fam")]) == 3
     assert capsys.readouterr().err == "internal error: exchange shrank the family\n"
+
+
+def test_minimal_tau2_without_representative_exits_three(capsys, fixtures_dir, monkeypatch):
+    monkeypatch.setattr(covers, "_rep_pool", lambda members, idx: 0)
+    assert run(["minimal-tau2", str(fixtures_dir / "c3_n9_k4.fam")]) == 3
+    assert capsys.readouterr().err == (
+        "internal error: minimal two-cover subfamily without representatives\n")
 
 
 def test_stats_fixture(capsys, fixtures_dir):

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import sum_f_of_z, sum_fprime3, sum_size_c3, sum_size_f2prime
+from kfam.certify import GRID_CHECKS
 from kfam.errors import DomainError
 from kfam.families import mask_of
 from kfam.formulas import (
@@ -165,6 +167,27 @@ def test_f_monotone_in_z_desk_scale():
                     continue
                 for z in range(3, s + 2):
                     assert f_of_z(m, s, k, z - 1) >= f_of_z(m, s, k, z)
+
+
+def test_closed_forms_match_layer_sums():
+    # the f-mono and f3-fprime3 grid domains up to k = 16, all z in [2, s+1]
+    for k in range(4, 17):
+        for s in range(2, k + 1):
+            for m in range(k + s, k + s + 41):
+                assert size_f2prime(m, s, k) == sum_size_f2prime(m, s, k), (m, s, k)
+                for z in range(2, s + 2):
+                    assert f_of_z(m, s, k, z) == sum_f_of_z(m, s, k, z), (m, s, k, z)
+                if s >= 4:
+                    assert fprime3(m, s, k) == sum_fprime3(m, s, k), (m, s, k)
+    for k in range(3, 41):
+        for n in range(2 * k, 2 * k + 41):
+            assert size_c3(n, k) == sum_size_c3(n, k), (n, k)
+    # every (n, k) point of the registered grids, the big-k ones included
+    big = {(p["n"], p["k"]) for grid, _ in GRID_CHECKS.values() if "n" in next(grid({}))
+           for p in grid({})}
+    assert len(big) == 14
+    for n, k in big:
+        assert size_c3(n, k) == sum_size_c3(n, k), (n, k)
 
 
 def test_kz_identities():

@@ -67,6 +67,14 @@ CASES = {
     "formula_thm1_u": ("verify formula --name thm1 --n 9 --k 4 --u 3", {}, 0),
     "formula_kz": ("verify formula --name kz --n 10 --a 3 --b 4", {}, 0),
     "formula_kz_j": ("verify formula --name kz --n 10 --a 3 --b 4 --j 4", {}, 0),
+    # the grid report's point filter, key order and skip reasons
+    "grid_f3_fprime3": (
+        'verify grid --name f3-fprime3 --ranges {"k":[4],"s":[2,3,4],"m":[8]}', {}, 0,
+    ),
+    "grid_f3_fprime3_full": (
+        'verify grid --name f3-fprime3 --ranges {"k":[4],"s":[2,3,4],"m":[8]} --full', {}, 0,
+    ),
+    "grid_f_mono_full": ('verify grid --name f-mono --ranges {"k":[4,5]} --full', {}, 0),
     # the switching pipeline's stages and the peeling trace
     "switch_c3_n10_k4": ("switch c3_n10_k4.fam --trace trace.json", C10, 0),
     "peel_c3_n10_k4": ("peel c3_n10_k4.fam --trace peel.json", C10, 0),
