@@ -6,9 +6,11 @@ t = 1, 2 and the three-base construction at t = 3.
 Usage: python3 scripts/cnkt_table.py [--nmax 9] [--k 3] [--tmax 3] [--classes]
 
 Small n only; the oracle is an exact branch and bound.  --classes also counts
-optimal isomorphism classes (slower).
+optimal isomorphism classes (slower).  Exits 1 if c(n,k,t) rises with t
+at some n.
 """
 import argparse
+import sys
 import time
 
 from kfam.formulas import binom, hm_size, size_c3
@@ -30,6 +32,7 @@ def main():
     print(f"k = {k}")
     print(head)
     prev = {}
+    broken = False
     for n in range(2 * k + 1, args.nmax + 1):
         for t in range(1, args.tmax + 1):
             t0 = time.perf_counter()
@@ -47,10 +50,12 @@ def main():
             # c(n,k,t) is non-increasing in t at fixed n
             if (n, t - 1) in prev and res.optimum > prev[(n, t - 1)]:
                 row += "  <-- monotonicity broken"
+                broken = True
             prev[(n, t)] = res.optimum
             print(row)
         print()
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -48,7 +48,7 @@ class GridReport:
 
     @property
     def all_pass(self) -> bool:
-        return self.passed == self.checked
+        return 0 < self.checked == self.passed
 
     def failures(self) -> list:
         return [p for p in self.points if p.skipped is None and not p.passed]

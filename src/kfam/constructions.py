@@ -16,14 +16,20 @@ from .formulas import binom
 _CLOSURE_CAP = 5_000_000
 
 
+def _cap_through_one(n: int, k: int, what: str):
+    """Refuse a family listed from the binom(n-1, k-1) k-sets through one
+    element before enumerating them."""
+    if binom(n - 1, k - 1) > _CLOSURE_CAP:
+        raise ScaleError(f"{what} over [{n}] choose {k} is too large to list")
+
+
 def full_star(n: int, k: int, center: int = 1) -> Family:
     """All k-subsets of [n] through one fixed element."""
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got n={n} k={k}")
     if not (1 <= center <= n):
         raise DomainError(f"center {center} outside ground [{n}]")
-    if binom(n - 1, k - 1) > _CLOSURE_CAP:
-        raise ScaleError(f"star over [{n}] choose {k} is too large to list")
+    _cap_through_one(n, k, "star")
     rest = [e for e in range(1, n + 1) if e != center]
     masks = [mask_of(c) | mask_of([center]) for c in combinations(rest, k - 1)]
     return Family.from_masks(n, masks)
@@ -34,6 +40,7 @@ def hilton_milner(n: int, k: int) -> Family:
     plus every k-set through 1 that meets it."""
     if not (k >= 2 and n > 2 * k):
         raise DomainError(f"need n > 2k >= 4, got n={n} k={k}")
+    _cap_through_one(n, k, "Hilton-Milner family")
     block = mask_of(range(2, k + 2))
     masks = [block]
     for c in combinations(range(2, n + 1), k - 1):
@@ -90,6 +97,7 @@ def c3(n: int, k: int) -> Family:
     """
     if not (k >= 3 and n >= 2 * k):
         raise DomainError(f"need k >= 3 and n >= 2k, got n={n} k={k}")
+    _cap_through_one(n, k, "c3")
     tail = mask_of(range(k + 2, 2 * k + 1))
     a1 = mask_of(range(2, k + 2))
     a2 = tail | mask_of([2])

@@ -325,111 +325,87 @@ def canonical_form(fam: Family, node_budget: int = CANONICAL_NODE_BUDGET) -> Fam
     return Family.from_masks(fam.n, key)
 
 
-def _wl_colors(fam: Family, rounds: int = 3):
-    """Stable invariant coloring of elements refined against member structure."""
-    elems = elements_of(_support(fam))
-    ecolor = {e: (degree(fam, e),) for e in elems}
-    for _ in range(rounds):
-        mcolor = {}
-        for m in fam.members:
-            mcolor[m] = (popcount(m), tuple(sorted(ecolor[e] for e in elements_of(m))))
-        nxt = {}
-        for e in elems:
-            bit = 1 << (e - 1)
-            nxt[e] = (ecolor[e], tuple(sorted(mcolor[m] for m in fam.members if m & bit)))
-        if nxt == ecolor:
-            break
-        ecolor = nxt
-    return ecolor
+def _refine(member_bits, colour):
+    """Refine element colours (indexed 0..n-1) to an equitable partition.
+
+    Each round colours every member by the sorted colours of its elements,
+    then every element by its colour and the sorted colours of the members
+    holding it.  Colours are ranks among the sorted distinct signatures, so
+    they and the trace -- the sorted signature lists of every round -- do
+    not depend on the labeling.  Equal traces mean each colour stands for
+    the same signature in both runs.
+    """
+    n = len(colour)
+    sets = [[e for e in range(n) if m >> e & 1] for m in member_bits]
+    holders = [[] for _ in range(n)]
+    for i, s in enumerate(sets):
+        for e in s:
+            holders[e].append(i)
+    trace = []
+    cells = len(set(colour))
+    while True:
+        msig = [tuple(sorted(colour[e] for e in s)) for s in sets]
+        rank = {sig: r for r, sig in enumerate(sorted(set(msig)))}
+        mcol = [rank[sig] for sig in msig]
+        esig = [(colour[e], tuple(sorted(mcol[i] for i in holders[e]))) for e in range(n)]
+        rank = {sig: r for r, sig in enumerate(sorted(set(esig)))}
+        colour = [rank[sig] for sig in esig]
+        trace.append((tuple(sorted(msig)), tuple(sorted(esig))))
+        if len(rank) == cells:
+            return colour, tuple(trace)
+        cells = len(rank)
 
 
-def _support(fam: Family) -> int:
-    s = 0
-    for m in fam.members:
-        s |= m
-    return s
-
-
-def iso_signature(fam: Family):
-    """Cheap isomorphism invariant: sizes, degrees, pairwise meet profile."""
-    ms = fam.members
-    profiles = []
-    for m in ms:
-        profiles.append((popcount(m), tuple(sorted(popcount(m & o) for o in ms if o != m))))
-    degs = sorted(degree(fam, e) for e in elements_of(_support(fam)))
-    return (len(ms), tuple(sorted(profiles)), tuple(degs))
+def _isomorphic_below(fam_a: Family, ca, fam_b: Family, cb) -> bool:
+    """Search for a relabeling of a onto b that keeps two equitable
+    colourings with equal traces: individualize the first element of a's
+    smallest non-singleton cell against every element of that colour in b,
+    and go on only where the refined traces agree."""
+    cells: dict = {}
+    for e, c in enumerate(ca):
+        cells.setdefault(c, []).append(e)
+    split = [cell for cell in cells.values() if len(cell) > 1]
+    if not split:
+        where = {c: e for e, c in enumerate(cb)}
+        perm = [where[c] for c in ca]
+        return fam_b.member_set == {
+            sum(1 << perm[e] for e in range(fam_a.n) if m >> e & 1) for m in fam_a.members
+        }
+    v = min(split, key=len)[0]
+    fresh = len(cells)
+    ca2, ta = _refine(fam_a.members, ca[:v] + [fresh] + ca[v + 1 :])
+    for w, c in enumerate(cb):
+        if c == ca[v]:
+            cb2, tb = _refine(fam_b.members, cb[:w] + [fresh] + cb[w + 1 :])
+            if tb == ta and _isomorphic_below(fam_a, ca2, fam_b, cb2):
+                return True
+    return False
 
 
 def are_isomorphic(fam_a: Family, fam_b: Family) -> bool:
-    """Exact relabeling test via invariant-guided backtracking."""
+    """Exact relabeling test by colour refinement and individualization."""
     if fam_a.n != fam_b.n:
         raise DomainError("isomorphism is over relabelings of a common ground set")
     if len(fam_a.members) != len(fam_b.members):
         return False
-    if fam_a.members == fam_b.members:
-        return True
-    if iso_signature(fam_a) != iso_signature(fam_b):
-        return False
-
-    ca = _wl_colors(fam_a)
-    cb = _wl_colors(fam_b)
-    if sorted(ca.values()) != sorted(cb.values()):
-        return False
-
-    by_color: dict = {}
-    for e, c in cb.items():
-        by_color.setdefault(c, []).append(e)
-    # most constrained first: rare colors before common ones
-    order = sorted(ca, key=lambda e: (len(by_color[ca[e]]), ca[e], e))
-
-    b_members = fam_b.member_set
-    a_sets = [elements_of(m) for m in fam_a.members]
-    target = set(fam_b.members)
-
-    mapping: dict = {}
-    used: set = set()
-
-    def place(idx: int) -> bool:
-        if idx == len(order):
-            image = set()
-            for s in a_sets:
-                image.add(mask_of(mapping[e] for e in s))
-            return image == target
-        e = order[idx]
-        for cand in by_color[ca[e]]:
-            if cand in used:
-                continue
-            mapping[e] = cand
-            used.add(cand)
-            # any fully-mapped member must land on a member of the target
-            ok = True
-            for s in a_sets:
-                if all(x in mapping for x in s):
-                    if mask_of(mapping[x] for x in s) not in b_members:
-                        ok = False
-                        break
-            if ok and place(idx + 1):
-                return True
-            used.discard(cand)
-            del mapping[e]
-        return False
-
-    return place(0)
+    ca, ta = _refine(fam_a.members, [0] * fam_a.n)
+    cb, tb = _refine(fam_b.members, [0] * fam_b.n)
+    return ta == tb and _isomorphic_below(fam_a, ca, fam_b, cb)
 
 
 def dedup_isomorphism_classes(fams) -> list[Family]:
     """Reduce a list of families to isomorphism class representatives.
 
-    Buckets by the cheap invariant signature, then confirms with the exact
-    backtracking test, so the result does not depend on canonical-form
-    minimality.
+    Each family is refined once and bucketed by its refinement trace; the
+    exact individualization test confirms inside a bucket.  The first
+    member of each class in input order is kept.
     """
     buckets: dict = {}
     out = []
     for f in fams:
-        sig = (f.n, iso_signature(f))
-        reps = buckets.setdefault(sig, [])
-        if not any(are_isomorphic(f, r) for r in reps):
-            reps.append(f)
+        colour, trace = _refine(f.members, [0] * f.n)
+        reps = buckets.setdefault((f.n, len(f.members), trace), [])
+        if not any(_isomorphic_below(f, colour, r, rc) for r, rc in reps):
+            reps.append((f, colour))
             out.append(f)
     return out

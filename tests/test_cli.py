@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -162,6 +163,23 @@ def test_verify_grid_subcommand(capsys):
     assert code == 0
     assert report["results"]["all_pass"] is True
     assert report["checks"][0]["name"] == "grid-final-compare"
+
+
+def test_grid_that_checks_nothing_fails(capsys):
+    # every k=3 point of f-mono is skipped, and an empty range has no points
+    for ranges in ('{"k":[3]}', '{"k":[]}'):
+        code, report = _invoke(capsys, ["verify", "grid", "--name", "f-mono", "--ranges", ranges])
+        assert code == 1
+        assert report["results"]["checked"] == 0
+        assert report["results"]["all_pass"] is False
+
+
+def test_oversized_constructions_refused_before_listing(capsys):
+    for which in ("c3", "hm"):
+        t0 = time.perf_counter()
+        assert run(["construct", which, "--n", "30", "--k", "12"]) == 2
+        assert time.perf_counter() - t0 < 5
+        assert "too large to list" in capsys.readouterr().err
 
 
 def test_verify_grid_full_listing(capsys):

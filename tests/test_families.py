@@ -128,6 +128,12 @@ def _relabel(fam: Family, perm: dict) -> Family:
     return family(fam.n, [{perm[e] for e in s} for s in fam.sets()])
 
 
+def _shuffled_copy(rng: random.Random, fam: Family) -> Family:
+    labels = list(range(1, fam.n + 1))
+    rng.shuffle(labels)
+    return _relabel(fam, dict(zip(range(1, fam.n + 1), labels)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 3), st.integers(0, 6))
 def test_canonical_matches_permutation_orbit(seed, n, k, size):
@@ -142,10 +148,7 @@ def test_canonical_invariant_under_relabeling(seed, n, k, size):
     k = min(k, n)
     rng = random.Random(seed)
     fam = random_uniform_family(rng, n, k, size)
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    perm = dict(zip(range(1, n + 1), labels))
-    assert canonical_form(fam) == canonical_form(_relabel(fam, perm))
+    assert canonical_form(fam) == canonical_form(_shuffled_copy(rng, fam))
 
 
 def test_isomorphism():
@@ -161,3 +164,53 @@ def test_dedup_isomorphism_classes():
     b = _relabel(a, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 7, 7: 6})
     reps = dedup_isomorphism_classes([a, b, full_star(7, 3)])
     assert len(reps) == 2
+
+
+def _random_family(rng: random.Random, n: int, size: int, uniform: bool) -> Family:
+    if uniform:
+        return random_uniform_family(rng, n, rng.randint(1, n), size)
+    return Family.from_masks(n, (rng.randrange(1 << n) for _ in range(size)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 7), st.integers(0, 7), st.booleans())
+def test_isomorphism_matches_permutation_orbit(seed, n, size, uniform):
+    rng = random.Random(seed)
+    a = _random_family(rng, n, size, uniform)
+    assert are_isomorphic(a, _shuffled_copy(rng, a))
+    b = _random_family(rng, n, len(a), uniform)
+    assert are_isomorphic(a, b) == (perm_canonical(a) == perm_canonical(b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 3))
+def test_dedup_keeps_first_of_each_orbit(seed, n, k):
+    rng = random.Random(seed)
+    k = min(k, n)
+    fams = []
+    for _ in range(8):
+        fam = random_uniform_family(rng, n, k, rng.randint(1, 4))
+        fams += [fam, _shuffled_copy(rng, fam)]
+    rng.shuffle(fams)
+    first: dict = {}
+    for fam in fams:
+        first.setdefault(perm_canonical(fam), fam)
+    assert [id(f) for f in dedup_isomorphism_classes(fams)] == [id(f) for f in first.values()]
+
+
+def test_isomorphism_past_refinement():
+    # both are 2-regular on [6], so colour refinement alone cannot split them
+    hexagon = family(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
+    triangles = family(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    assert not are_isomorphic(hexagon, triangles)
+    assert not are_isomorphic(triangles, hexagon)
+    rng = random.Random(6)
+    for fam in (hexagon, triangles):
+        assert are_isomorphic(fam, _shuffled_copy(rng, fam))
+    assert len(dedup_isomorphism_classes([hexagon, triangles])) == 2
+    # a hexagon beside two triangles on [12], relabeled so that element 1
+    # moves from the hexagon into a triangle: individualizing 1 against the
+    # first candidate fails and the search has to try the others
+    both = family(12, hexagon.sets() + [(a + 6, b + 6) for a, b in triangles.sets()])
+    swap = {e: (e + 5) % 12 + 1 for e in range(1, 13)}
+    assert are_isomorphic(both, _relabel(both, swap))
