@@ -3,8 +3,11 @@
 plus the certified covering number.
 
 Usage: python3 scripts/c3_table.py [--kmax 6] [--extra 6]
+
+Exits 1 if some row does not match.
 """
 import argparse
+import sys
 
 from kfam.constructions import c3
 from kfam.covers import covering_number
@@ -18,15 +21,19 @@ def main():
     args = ap.parse_args()
 
     print(f"{'n':>4} {'k':>3} {'enumerated':>11} {'formula':>8} {'tau':>4}")
+    broken = False
     for k in range(3, args.kmax + 1):
         for n in range(2 * k + 1, 2 * k + args.extra + 1):
             fam = c3(n, k)
             got, want = len(fam), size_c3(n, k)
             tau = covering_number(fam).tau
-            flag = "" if got == want and tau == 3 else "  <-- MISMATCH"
+            ok = got == want and tau == 3
+            broken |= not ok
+            flag = "" if ok else "  <-- MISMATCH"
             print(f"{n:>4} {k:>3} {got:>11} {want:>8} {tau:>4}{flag}")
         print()
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

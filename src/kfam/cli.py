@@ -127,7 +127,8 @@ def _cmd_stats(args, t0) -> int:
         "diversity": diversity(fam) if fam.members else 0,
         "members": _sets(fam),
     }
-    return _emit("stats", {"family": args.family}, results, [], t0)
+    params = {"family": args.family, **({"canonical": True} if args.canonical else {})}
+    return _emit("stats", params, results, [], t0)
 
 
 def _cmd_tau(args, t0) -> int:

@@ -10,16 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 from .errors import DomainError
 
 MAX_GROUND = 128
-
-# A node budget large enough that every family this workbench enumerates
-# exactly (small supports, few members) canonicalizes exactly; huge highly
-# symmetric families fall back to a deterministic greedy relabeling.
-CANONICAL_NODE_BUDGET = 200_000
 
 
 def mask_of(elements) -> int:
@@ -207,122 +201,6 @@ def are_cross_intersecting(fam_a: Family, fam_b: Family) -> bool:
 
 # ---------------------------------------------------------------------------
 # isomorphism and canonical relabeling
-#
-# The canonical form of a family is the relabeling of [n] whose sorted
-# member list is lexicographically least (masks compared numerically).  The
-# search places members one at a time: the next member of the canonical list
-# always takes the lowest unused labels for its not-yet-labeled elements, so
-# branching is over which member comes next and over the order of its fresh
-# elements.  A swap argument shows the optimum always has this shape, hence
-# the search is exact whenever it completes within its node budget.
-
-
-def _achievable(mask: int, assign: dict, next_label: int):
-    """Least final mask a member can still reach, plus its fresh elements."""
-    fixed = 0
-    fresh = []
-    for e in elements_of(mask):
-        lbl = assign.get(e)
-        if lbl is None:
-            fresh.append(e)
-        else:
-            fixed |= 1 << (lbl - 1)
-    out = fixed
-    for i in range(len(fresh)):
-        out |= 1 << (next_label + i - 1)
-    return out, fresh
-
-
-def _min_image(members, budget: int):
-    """Exact minimal relabeled member tuple, or None if the budget runs out."""
-    if not members:
-        return ()
-    nodes = [budget]
-    memo: dict = {}
-
-    def rec(remaining: frozenset, assign: dict, next_label: int):
-        if not remaining:
-            return ()
-        relevant = 0
-        for m in remaining:
-            relevant |= m
-        key = (
-            remaining,
-            tuple(sorted((o, l) for o, l in assign.items() if relevant >> (o - 1) & 1)),
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if nodes[0] <= 0:
-            return None
-        nodes[0] -= 1
-
-        best_mask = None
-        cands = []
-        for m in remaining:
-            img, fresh = _achievable(m, assign, next_label)
-            if best_mask is None or img < best_mask:
-                best_mask, cands = img, [(m, fresh)]
-            elif img == best_mask:
-                cands.append((m, fresh))
-
-        best_suffix = None
-        for m, fresh in cands:
-            rest = remaining - {m}
-            for order in permutations(fresh):
-                sub = dict(assign)
-                for i, e in enumerate(order):
-                    sub[e] = next_label + i
-                suffix = rec(rest, sub, next_label + len(fresh))
-                if suffix is None:
-                    return None
-                if best_suffix is None or suffix < best_suffix:
-                    best_suffix = suffix
-        result = (best_mask,) + best_suffix
-        memo[key] = result
-        return result
-
-    return rec(frozenset(members), {}, 1)
-
-
-def _greedy_image(members):
-    """Deterministic single-descent relabeling; used past the exact budget.
-
-    Ties between members take the smallest input mask and fresh elements in
-    ascending input order, which makes the descent reproduce itself on its
-    own output.
-    """
-    remaining = set(members)
-    assign: dict = {}
-    next_label = 1
-    out = []
-    while remaining:
-        best = None
-        for m in sorted(remaining):
-            img, fresh = _achievable(m, assign, next_label)
-            if best is None or img < best[0]:
-                best = (img, m, fresh)
-        img, m, fresh = best
-        for i, e in enumerate(sorted(fresh)):
-            assign[e] = next_label + i
-        next_label += len(fresh)
-        out.append(img)
-        remaining.remove(m)
-    return tuple(out)
-
-
-def canonical_form(fam: Family, node_budget: int = CANONICAL_NODE_BUDGET) -> Family:
-    """Relabel so the sorted member list is minimized over permutations of [n].
-
-    Exact for every family whose placement search fits in the node budget
-    (comfortably true at workbench scale); beyond that a deterministic greedy
-    relabeling is used, which is still isomorphism-sound for deduplication
-    (equal outputs imply isomorphic inputs) though not guaranteed minimal.
-    """
-    key = _min_image(fam.members, node_budget)
-    if key is None:
-        key = _greedy_image(fam.members)
-    return Family.from_masks(fam.n, key)
 
 
 def _refine(member_bits, colour):
@@ -409,3 +287,121 @@ def dedup_isomorphism_classes(fams) -> list[Family]:
             reps.append((f, colour))
             out.append(f)
     return out
+
+
+# The canonical form of a family is the relabeling of [n] whose sorted
+# member list is lexicographically least (masks compared numerically).  The
+# search gives labels 1, 2, ... to one element at a time and keeps, at each
+# level, only the partial labelings with the least key: the sorted masks of
+# the fully labeled members, then the least mask any other member can still
+# reach (its labeled bits plus the next free labels for the rest).  Fully
+# labeled members precede all others in every completion, and every other
+# member ends at or above its bound, so no completion lies below the key;
+# labeling a bounding member's elements next attains it.  So a least-key
+# labeling extends to the least member list, and the search is exact.
+#
+# Tied labelings related by an automorphism complete alike, so one per orbit
+# is kept.  Equivalent labelings have equivalent parents, and one labeling
+# per orbit survives each level, so they are siblings: only siblings are
+# compared.  Siblings in different cells of the parent's equitable colouring
+# (labeled elements individualized) are never equivalent.  Inside a cell a
+# child is dropped when exchanging its element with a kept sibling's is an
+# automorphism, and otherwise individualized, refined and confirmed against
+# the kept ones with the isomorphism search.
+
+
+def _label(pending, e: int, used: int):
+    """Give element bit e the next label; return the members this finishes
+    (as final masks) and the (label mask, unlabeled elements) still open."""
+    bit, lbl = 1 << e, 1 << used
+    finished, rest = [], []
+    for img, todo in pending:
+        if todo & bit:
+            img, todo = img | lbl, todo ^ bit
+            if not todo:
+                finished.append(img)
+                continue
+        rest.append((img, todo))
+    return sorted(finished), rest
+
+
+def _reach(pending, used: int) -> list:
+    """Least mask each open member can still reach with `used` labels out."""
+    return [img | ((1 << todo.bit_count()) - 1) << used for img, todo in pending]
+
+
+def _swaps(fam: Family, e: int, f: int) -> bool:
+    """Whether exchanging elements e and f maps the family onto itself."""
+    both = 1 << e | 1 << f
+    return all(m & both in (0, both) or m ^ both in fam.member_set for m in fam.members)
+
+
+def _orbit_reps(fam: Family, order, colour, es):
+    """Keep one of the elements es per orbit of the automorphisms fixing the
+    labeled elements `order`, each with its child's colouring or None.
+    colour is the parent's equitable colouring, or None until one is needed.
+    """
+    if colour is None:
+        if len(es) == 1:
+            return [(es[0], None)]
+        start = [0] * fam.n
+        for lbl, x in enumerate(order):
+            start[x] = lbl + 1
+        colour, _ = _refine(fam.members, start)
+    if len(set(colour)) == fam.n:  # only the identity fixes the labeled elements
+        return [(e, colour) for e in es]
+    cells: dict = {}
+    for e in es:
+        cells.setdefault(colour[e], []).append(e)
+    fresh = max(colour) + 1
+    kept = []
+    for cell in cells.values():
+        if len(cell) == 1:
+            kept.append((cell[0], None))
+            continue
+        reps = []
+        for e in cell:
+            if any(_swaps(fam, e, r) for r, _, _ in reps):
+                continue
+            ce, te = _refine(fam.members, colour[:e] + [fresh] + colour[e + 1 :])
+            if not any(te == tr and _isomorphic_below(fam, ce, fam, cr) for _, cr, tr in reps):
+                reps.append((e, ce, te))
+        kept += [(e, ce) for e, ce, _ in reps]
+    return kept
+
+
+def canonical_form(fam: Family) -> Family:
+    """Relabel so the sorted member list is least over permutations of [n]."""
+    done = [m for m in fam.members if not m]
+    # a partial labeling: (labeled elements in label order, open members as
+    # (label mask, unlabeled elements), equitable colouring or None)
+    level = [((), [(0, m) for m in fam.members if m], None)]
+    used = 0
+    while level[0][1]:
+        best, ties = None, {}
+        for p, (_, pending, _) in enumerate(level):
+            reach = _reach(pending, used)
+            low = min(reach)
+            cands = 0  # only an element of a bounding member keeps the bound
+            for r, (_, todo) in zip(reach, pending):
+                if r == low:
+                    cands |= todo
+            while cands:
+                e = (cands & -cands).bit_length() - 1
+                cands &= cands - 1
+                finished, rest = _label(pending, e, used)
+                key = finished + [min(_reach(rest, used + 1))] if rest else finished
+                if best is None or key < best:
+                    best, ties = key, {}
+                if key == best:
+                    ties.setdefault(p, {})[e] = (finished, rest)
+        nxt = []
+        for p, children in ties.items():
+            order, _, colour = level[p]
+            for e, ce in _orbit_reps(fam, order, colour, list(children)):
+                finished, rest = children[e]
+                nxt.append((order + (e,), rest, ce))
+        done += finished
+        level = nxt
+        used += 1
+    return Family.from_masks(fam.n, done)

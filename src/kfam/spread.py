@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, ScaleError
 from .families import (
     Family,
     elements_of,
@@ -32,27 +32,27 @@ def _as_ratio(r) -> tuple[int, int]:
     return f.numerator, f.denominator
 
 
-def _candidate_masks(fam: Family):
-    """All nonempty masks contained in at least one member, deduplicated.
+# Spread checks refuse families whose members have more subsets than this
+# in all, before listing any of them.
+_SUBSET_CAP = 1_000_000
+
+
+def _containment_counts(fam: Family) -> list[tuple[int, int]]:
+    """(X, |F[X]|) for every nonempty X contained in at least one member.
 
     Only these can violate spreadness: any other X has F[X] empty.
     Ordered by (size, element tuple), which is not the numeric mask order.
     """
-    seen = set()
+    total = sum(1 << popcount(m) for m in fam.members)
+    if total > _SUBSET_CAP:
+        raise ScaleError(f"the members have {total} subsets in all, past the cap {_SUBSET_CAP}")
+    counts: dict = {}
     for m in fam.members:
-        els = elements_of(m)
-        k = len(els)
-        for sub in range(1, 1 << k):
-            x = 0
-            for t in range(k):
-                if sub >> t & 1:
-                    x |= 1 << (els[t] - 1)
-            seen.add(x)
-    return sorted(seen, key=lambda x: (popcount(x), elements_of(x)))
-
-
-def _contain_count(fam: Family, x_mask: int) -> int:
-    return sum(1 for m in fam.members if m & x_mask == x_mask)
+        x = m
+        while x:
+            counts[x] = counts.get(x, 0) + 1
+            x = (x - 1) & m
+    return sorted(counts.items(), key=lambda xc: (popcount(xc[0]), elements_of(xc[0])))
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,9 @@ def is_r_spread(fam: Family, r) -> SpreadCheck:
     """
     p, q = _as_ratio(r)
     total = len(fam)
-    for x in _candidate_masks(fam):
+    for x, count in _containment_counts(fam):
         sz = popcount(x)
-        lhs = _contain_count(fam, x) * p**sz
+        lhs = count * p**sz
         rhs = total * q**sz
         if lhs > rhs:
             return SpreadCheck(False, elements_of(x), lhs, rhs)
@@ -102,9 +102,9 @@ def find_spread_restriction(fam: Family, r) -> tuple[tuple, Family]:
         )
     total = len(fam)
     qualifiers = [0]
-    for x in _candidate_masks(fam):
+    for x, count in _containment_counts(fam):
         sz = popcount(x)
-        if _contain_count(fam, x) * p**sz >= total * q**sz:
+        if count * p**sz >= total * q**sz:
             qualifiers.append(x)
     maximal = [
         x

@@ -6,6 +6,8 @@ import pytest
 from kfam import cli, covers
 from kfam.cli import run
 from kfam.errors import InvariantError
+from kfam.families import family
+from kfam.fileio import load_family, save_family
 
 
 def _invoke(capsys, argv):
@@ -156,6 +158,29 @@ def test_spread_subcommand(capsys, fixtures_dir):
     code, report = _invoke(capsys, ["spread", str(fixtures_dir / "t2_k4.fam"), "--r", "3/2"])
     assert code == 1
     assert report["results"]["violator"] is not None
+
+
+def test_spread_refuses_huge_member_before_listing(capsys, tmp_path):
+    # one member with 2^40 subsets
+    path = tmp_path / "wide.fam"
+    path.write_text("n=40\n" + " ".join(str(e) for e in range(1, 41)) + "\n")
+    t0 = time.perf_counter()
+    assert run(["spread", str(path), "--r", "1"]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert "subsets" in capsys.readouterr().err
+
+
+def test_canonical_stats_matches_canonical_construct(capsys, tmp_path, fixtures_dir):
+    _, built = _invoke(capsys, ["construct", "c3", "--n", "9", "--k", "4", "--canonical"])
+    # c3_n9_k4.fam is c3(9,4); relabel it by e -> 10 - e
+    fam = load_family(str(fixtures_dir / "c3_n9_k4.fam"))
+    relabeled = str(tmp_path / "c9_relabeled.fam")
+    save_family(family(9, [{10 - e for e in s} for s in fam.sets()]), relabeled)
+    code, report = _invoke(capsys, ["stats", relabeled, "--canonical"])
+    assert code == 0
+    assert report["params"] == {"family": relabeled, "canonical": True}
+    assert report["results"]["members"] == built["results"]["members"]
+    assert report["results"]["members"] != [list(s) for s in load_family(relabeled).sets()]
 
 
 def test_verify_grid_subcommand(capsys):

@@ -134,12 +134,48 @@ def _shuffled_copy(rng: random.Random, fam: Family) -> Family:
     return _relabel(fam, dict(zip(range(1, fam.n + 1), labels)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**6), st.integers(2, 6), st.integers(1, 3), st.integers(0, 6))
-def test_canonical_matches_permutation_orbit(seed, n, k, size):
+def _random_family(rng: random.Random, n: int, size: int, uniform: bool) -> Family:
+    if uniform:
+        return random_uniform_family(rng, n, rng.randint(1, n), size)
+    return Family.from_masks(n, (rng.randrange(1 << n) for _ in range(size)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 7), st.integers(1, 3), st.integers(0, 6), st.booleans())
+def test_canonical_matches_permutation_orbit(seed, n, k, size, mixed):
     k = min(k, n)
-    fam = random_uniform_family(random.Random(seed), n, k, size)
+    rng = random.Random(seed)
+    if mixed:
+        fam = _random_family(rng, n, size, uniform=False)
+    else:
+        fam = random_uniform_family(rng, n, k, size)
     assert canonical_form(fam).members == perm_canonical(fam)
+
+
+@pytest.mark.parametrize("build", [c3, full_star], ids=["c3", "star"])
+def test_canonical_matches_permutation_orbit_at_n8(build):
+    # 35 members each; a search that stops early returns a larger list
+    fam = build(8, 4)
+    assert canonical_form(fam).members == perm_canonical(fam)
+
+
+@pytest.mark.parametrize("build", [c3, full_star], ids=["c3", "star"])
+def test_canonical_invariant_at_n9(build):
+    fam = build(9, 4)
+    shuffled = _shuffled_copy(random.Random(9), fam)
+    assert shuffled != fam
+    assert canonical_form(shuffled) == canonical_form(fam)
+
+
+def test_canonical_past_refinement():
+    # colour refinement cannot tell the vertices of a hexagon from those of
+    # two triangles beside it, but only a triangle labeled first starts the
+    # least member list
+    hexagon = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
+    both = family(12, hexagon + [(7, 8), (8, 9), (7, 9), (10, 11), (11, 12), (10, 12)])
+    canon = canonical_form(both)
+    assert canon.members[:3] == (0b011, 0b101, 0b110)
+    assert canonical_form(_relabel(both, {e: 13 - e for e in range(1, 13)})) == canon
 
 
 @settings(max_examples=80, deadline=None)
@@ -164,12 +200,6 @@ def test_dedup_isomorphism_classes():
     b = _relabel(a, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 7, 7: 6})
     reps = dedup_isomorphism_classes([a, b, full_star(7, 3)])
     assert len(reps) == 2
-
-
-def _random_family(rng: random.Random, n: int, size: int, uniform: bool) -> Family:
-    if uniform:
-        return random_uniform_family(rng, n, rng.randint(1, n), size)
-    return Family.from_masks(n, (rng.randrange(1 << n) for _ in range(size)))
 
 
 @settings(max_examples=60, deadline=None)
