@@ -9,6 +9,9 @@ comparison is diagnosable from the report alone.  Exit status: 0 when all
 checks pass, 1 when any check fails, 2 on usage or domain errors (among them
 ``switch`` on a family with n < 2k), 3 when an internal invariant fails,
 which is a bug.
+
+Every subcommand and mode is one row of ``COMMANDS``; its handler returns
+(params, results, checks), and ``run`` times it and prints the report.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from .covers import (
     covering_number,
     enumerate_minimal_tau2,
     minimal_tau2_subfamily,
-    representative_pools,
 )
 from .errors import DomainError, InvariantError, ParseError, ScaleError
 from .families import (
@@ -64,59 +66,71 @@ def _check(name: str, passed: bool, lhs, rhs) -> dict:
     return {"name": name, "pass": bool(passed), "lhs": lhs, "rhs": rhs}
 
 
-def _emit(command: str, params: dict, results, checks: list, t0: float) -> int:
-    report = {
-        "schema": SCHEMA,
-        "command": command,
-        "params": params,
-        "results": results,
-        "checks": checks,
-        "runtime_ms": int((time.perf_counter() - t0) * 1000),
-    }
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    return 0 if all(c["pass"] for c in checks) else 1
+def _given(args) -> dict:
+    """Every option given on the command line, as a report's params."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "command", "mode") and v is not None}
 
 
-def _load(path: str, canonical: bool = False) -> Family:
-    fam = load_family(path)
-    return canonical_form(fam) if canonical else fam
-
-
-def _lookup(table: dict, key: str, args, what: str):
-    """The function table[key] names, once args hold every option it needs."""
-    needs, func = table[key]
+def _lookup(table: dict, key: str, args, options: tuple, what: str):
+    """The function table[key] names, once args hold every option it needs
+    and none of the other options that it would ignore."""
+    needs, reads, func = table[key]
     missing = [f"--{name}" for name in needs if getattr(args, name) is None]
     if missing:
         raise DomainError(f"{what} {key} needs {' '.join(missing)}")
+    unread = [f"--{name}" for name in options
+              if name not in needs + reads and getattr(args, name) is not None]
+    if unread:
+        raise DomainError(f"{what} {key} takes no {' '.join(unread)}")
     return func
 
 
-# construction -> (options it needs, builder); --n only widens t2 and t2prime
+def _write_trace(args, results: dict, payload) -> None:
+    """Write payload as JSON to the --trace file, when one is given."""
+    if args.trace:
+        with open(args.trace, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        results["trace_written"] = args.trace
+
+
+_CONSTRUCT_OPTIONS = ("n", "k", "s")
+# construction -> (options it needs, options it may read, builder)
 CONSTRUCTIONS = {
-    "c3": (("n", "k"), lambda a: c3(a.n, a.k)),
-    "t2": (("k",), lambda a: t2(a.k, a.n)),
-    "t2prime": (("s",), lambda a: t2prime(a.s, a.n)),
-    "star": (("n", "k"), lambda a: full_star(a.n, a.k)),
-    "hm": (("n", "k"), lambda a: hilton_milner(a.n, a.k)),
+    "c3": (("n", "k"), (), lambda a: c3(a.n, a.k)),
+    "t2": (("k",), ("n",), lambda a: t2(a.k, a.n)),
+    "t2prime": (("s",), ("n",), lambda a: t2prime(a.s, a.n)),
+    "star": (("n", "k"), (), lambda a: full_star(a.n, a.k)),
+    "hm": (("n", "k"), (), lambda a: hilton_milner(a.n, a.k)),
 }
 
 
-def _cmd_construct(args, t0) -> int:
-    fam = _lookup(CONSTRUCTIONS, args.which, args, "construct")(args)
+def _cmd_construct(args):
+    fam = _lookup(CONSTRUCTIONS, args.which, args, _CONSTRUCT_OPTIONS, "construct")(args)
     if args.canonical:
         fam = canonical_form(fam)
     results = {"n": fam.n, "size": len(fam.members), "members": _sets(fam)}
     if args.output:
         save_family(fam, args.output)
         results["written"] = args.output
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "command") and v is not None}
-    return _emit("construct", params, results, [], t0)
+    return _given(args), results, []
 
 
-def _cmd_stats(args, t0) -> int:
-    fam = _load(args.family, args.canonical)
+def _on_file(handler, census=None):
+    """The (args) handler of a subcommand that reads a family file: it loads
+    the file, passes the family to handler(args, fam) and puts the file
+    first in the params; without a file it runs census(args)."""
+    def run_on_file(args):
+        if args.family is None:
+            return census(args)
+        params, results, checks = handler(args, load_family(args.family))
+        return {"family": args.family, **params}, results, checks
+    return run_on_file
+
+
+def _cmd_stats(args, fam):
+    if args.canonical:
+        fam = canonical_form(fam)
     results = {
         "n": fam.n,
         "size": len(fam.members),
@@ -127,12 +141,10 @@ def _cmd_stats(args, t0) -> int:
         "diversity": diversity(fam) if fam.members else 0,
         "members": _sets(fam),
     }
-    params = {"family": args.family, **({"canonical": True} if args.canonical else {})}
-    return _emit("stats", params, results, [], t0)
+    return {"canonical": True} if args.canonical else {}, results, []
 
 
-def _cmd_tau(args, t0) -> int:
-    fam = _load(args.family)
+def _cmd_tau(args, fam):
     res = covering_number(fam)
     tau = res.tau
     results = {
@@ -143,34 +155,27 @@ def _cmd_tau(args, t0) -> int:
     checks = []
     if args.expect is not None:
         checks.append(_check("tau-expected", tau == args.expect, tau, args.expect))
-    return _emit("tau", {"family": args.family}, results, checks, t0)
+    return {}, results, checks
 
 
-def _cmd_hitcount(args, t0) -> int:
-    fam = _load(args.family)
-    count = count_hitting_sets(fam, args.t)
-    return _emit(
-        "hitcount",
-        {"family": args.family, "t": args.t},
-        {"count": count},
-        [],
-        t0,
-    )
+def _cmd_hitcount(args, fam):
+    return {"t": args.t}, {"count": count_hitting_sets(fam, args.t)}, []
 
 
-def _cmd_minimal_tau2(args, t0) -> int:
-    if args.family is not None:
-        fam = _load(args.family)
-        sub = minimal_tau2_subfamily(fam)
-        if sub is None:
-            results = {"subfamily": None, "note": "covering number below 2"}
-        else:
-            pools = representative_pools(sub.subfamily)
-            results = {
-                "subfamily": _sets(sub.subfamily),
-                "representative_pools": [list(p) for p in pools],
-            }
-        return _emit("minimal-tau2", {"family": args.family}, results, [], t0)
+def _cmd_minimal_tau2(args, fam):
+    if (args.m, args.s, args.intersecting_only) != (None, None, False):
+        raise DomainError("minimal-tau2 takes --m, --s, --intersecting-only only without a file")
+    sub = minimal_tau2_subfamily(fam)
+    if sub is None:
+        return {}, {"subfamily": None, "note": "covering number below 2"}, []
+    results = {
+        "subfamily": _sets(sub.subfamily),
+        "representative_pools": [list(p) for p in sub.pools],
+    }
+    return {}, results, []
+
+
+def _cmd_census(args):
     if args.m is None or args.s is None:
         raise DomainError("need either a family file or both --m and --s")
     classes = enumerate_minimal_tau2(args.m, args.s, intersecting_only=args.intersecting_only)
@@ -184,13 +189,10 @@ def _cmd_minimal_tau2(args, t0) -> int:
         _check("member-bound", all(len(c.members) <= args.s + 1 for c in classes),
                max((len(c.members) for c in classes), default=0), args.s + 1)
     ]
-    return _emit("minimal-tau2", {"m": args.m, "s": args.s,
-                                  "intersecting_only": args.intersecting_only},
-                 results, checks, t0)
+    return {"m": args.m, "s": args.s, "intersecting_only": args.intersecting_only}, results, checks
 
 
-def _cmd_shift(args, t0) -> int:
-    fam = _load(args.family)
+def _cmd_shift(args, fam):
     out = shift_family(fam, args.i, args.j)
     if args.output:
         save_family(out, args.output)
@@ -201,12 +203,10 @@ def _cmd_shift(args, t0) -> int:
     }
     checks = [_check("size-preserved", len(out.members) == len(fam.members),
                      len(out.members), len(fam.members))]
-    return _emit("shift", {"family": args.family, "i": args.i, "j": args.j},
-                 results, checks, t0)
+    return {"i": args.i, "j": args.j}, results, checks
 
 
-def _cmd_switch(args, t0) -> int:
-    fam = _load(args.family)
+def _cmd_switch(args, fam):
     res = switch_pipeline(fam)
     if args.output and res.converged:
         save_family(res.family, args.output)
@@ -217,60 +217,49 @@ def _cmd_switch(args, t0) -> int:
         "size_after": len(res.family.members),
         "members": _sets(res.family),
     }
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            json.dump(res.trace, fh, indent=2)
-        results["trace_written"] = args.trace
+    _write_trace(args, results, res.trace)
     checks = [
         _check("converged", res.converged, res.status, "converged"),
         _check("no-shrink", len(res.family.members) >= len(fam.members),
                len(res.family.members), len(fam.members)),
     ]
-    return _emit("switch", {"family": args.family}, results, checks, t0)
+    return {}, results, checks
 
 
-def _cmd_peel(args, t0) -> int:
-    fam = _load(args.family)
+def _cmd_peel(args, fam):
     trace = peel(fam)
-    k = fam.uniform_k
     results = {
         "layer_sizes": {str(i): len(w.members) for i, w in trace.layers.items()},
         "residue_sizes": {str(i): len(r.members) for i, r in trace.residues.items()},
         "reductions": len(trace.reduction_log),
     }
-    if args.trace:
-        payload = {
-            "layers": {str(i): _sets(w) for i, w in trace.layers.items()},
-            "residues": {str(i): _sets(r) for i, r in trace.residues.items()},
-            "reduction_log": [
-                [list(elements_of(old)), list(elements_of(new))]
-                for old, new in trace.reduction_log
-            ],
-        }
-        with open(args.trace, "w") as fh:
-            json.dump(payload, fh, indent=2)
-        results["trace_written"] = args.trace
+    _write_trace(args, results, {
+        "layers": {str(i): _sets(w) for i, w in trace.layers.items()},
+        "residues": {str(i): _sets(r) for i, r in trace.residues.items()},
+        "reduction_log": [
+            [list(elements_of(old)), list(elements_of(new))]
+            for old, new in trace.reduction_log
+        ],
+    })
     checks = [
         _check(f"layer-bound-{i}", len(w.members) <= i**i, len(w.members), i**i)
         for i, w in sorted(trace.layers.items())
     ]
-    return _emit("peel", {"family": args.family, "k": k}, results, checks, t0)
+    return {"k": fam.uniform_k}, results, checks
 
 
-def _cmd_spread(args, t0) -> int:
+def _cmd_spread(args, fam):
     try:
         r = Fraction(args.r)
     except (ValueError, ZeroDivisionError):
         raise DomainError(f"--r must be a ratio such as 2 or 7/2, got {args.r!r}") from None
-    fam = _load(args.family)
     res = is_r_spread(fam, r)
     results = {
         "r": str(r),
         "spread": res.ok,
         "violator": list(res.violator) if res.violator is not None else None,
     }
-    checks = [_check("r-spread", res.ok, res.lhs, res.rhs)]
-    return _emit("spread", {"family": args.family, "r": str(r)}, results, checks, t0)
+    return {"r": str(r)}, results, [_check("r-spread", res.ok, res.lhs, res.rhs)]
 
 
 def _counted(tag: str, formula: int, fam: Family) -> tuple:
@@ -313,29 +302,28 @@ def _formula_kz(a) -> tuple:
     return {"bound": val, "j": a.j}, [("kz-j-eq-b", val, ident)] if a.j == a.b else []
 
 
-# formula -> (options it needs, evaluator); an evaluator returns the results
-# and the (check name, lhs, rhs) triples whose sides must be equal
+_FORMULA_OPTIONS = ("n", "k", "s", "m", "z", "u", "a", "b", "j")
+# formula -> (options it needs, options it may read, evaluator); an evaluator
+# returns the results and the (check name, lhs, rhs) triples whose sides
+# must be equal
 FORMULAS = {
-    "c3": (("n", "k"), lambda a: _counted("c3-size", size_c3(a.n, a.k), c3(a.n, a.k))),
-    "f2prime": (("m", "s", "k"), lambda a: _counted(
+    "c3": (("n", "k"), (), lambda a: _counted("c3-size", size_c3(a.n, a.k), c3(a.n, a.k))),
+    "f2prime": (("m", "s", "k"), (), lambda a: _counted(
         "f2prime-size", size_f2prime(a.m, a.s, a.k), cross_closure(t2prime(a.s, a.m), a.k - 1))),
-    "fz": (("m", "s", "k", "z"), _formula_fz),
-    "fprime3": (("m", "s", "k"), _formula_fprime3),
-    "hm": (("n", "k"), _formula_hm),
-    "thm1": (("n", "k"), _formula_thm1),
-    "kz": (("n", "a", "b"), _formula_kz),
+    "fz": (("m", "s", "k", "z"), (), _formula_fz),
+    "fprime3": (("m", "s", "k"), (), _formula_fprime3),
+    "hm": (("n", "k"), (), _formula_hm),
+    "thm1": (("n", "k"), ("u",), _formula_thm1),
+    "kz": (("n", "a", "b"), ("j",), _formula_kz),
 }
 
 
-def _verify_formula(args, t0) -> int:
-    results, pairs = _lookup(FORMULAS, args.name, args, "verify formula")(args)
-    checks = [_check(name, lhs == rhs, lhs, rhs) for name, lhs, rhs in pairs]
-    params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "mode", "command") and v is not None}
-    return _emit("verify", params, results, checks, t0)
+def _verify_formula(args):
+    results, pairs = _lookup(FORMULAS, args.name, args, _FORMULA_OPTIONS, "verify formula")(args)
+    return _given(args), results, [_check(name, lhs == rhs, lhs, rhs) for name, lhs, rhs in pairs]
 
 
-def _verify_grid(args, t0) -> int:
+def _verify_grid(args):
     ranges = json.loads(args.ranges) if args.ranges else {}
     if not isinstance(ranges, dict) or not all(
             isinstance(v, list) and all(type(x) is int for x in v) for v in ranges.values()):
@@ -345,110 +333,97 @@ def _verify_grid(args, t0) -> int:
     params = {"name": args.name}
     if args.ranges:
         params["ranges"] = ranges
-    return _emit("verify", params, report.to_json(), checks, t0)
+    return params, report.to_json(), checks
 
 
-def _cmd_search(args, t0) -> int:
-    if args.mode == "cnkt":
-        res = max_intersecting_tau(args.n, args.k, args.t, all_optima=args.all_optima)
-        results = {
-            "optimum": res.optimum,
-            "witnesses": [_sets(w) for w in res.witnesses],
-            "nodes_explored": res.nodes_explored,
-            "pruned": res.pruned,
-        }
-        params = {"n": args.n, "k": args.k, "t": args.t}
-        return _emit("search", params, results, [], t0)
-    best, argmax = lemmin_oracle(args.m, args.s, args.k,
-                                 intersecting_only=args.intersecting_only)
+def _search_cnkt(args):
+    res = max_intersecting_tau(args.n, args.k, args.t, all_optima=args.all_optima)
     results = {
-        "best": best,
-        "argmax_classes": [_sets(h) for h in argmax],
+        "optimum": res.optimum,
+        "witnesses": [_sets(w) for w in res.witnesses],
+        "nodes_explored": res.nodes_explored,
+        "pruned": res.pruned,
     }
-    params = {"m": args.m, "s": args.s, "k": args.k,
-              "intersecting_only": args.intersecting_only}
-    return _emit("search", params, results, [], t0)
+    return {"n": args.n, "k": args.k, "t": args.t}, results, []
+
+
+def _search_lemmin(args):
+    best, argmax = lemmin_oracle(args.m, args.s, args.k, intersecting_only=args.intersecting_only)
+    params = {"m": args.m, "s": args.s, "k": args.k, "intersecting_only": args.intersecting_only}
+    return params, {"best": best, "argmax_classes": [_sets(h) for h in argmax]}, []
+
+
+def _ints(names, **kwargs) -> dict:
+    return {f"--{name}": {"type": int, **kwargs} for name in names}
+
+
+_FLAG = {"action": "store_true"}
+_FILE = {"family": {}}
+_OUTPUT = {"-o --output": {}}
+# command words -> (handler, help, argparse options as {flags: keywords});
+# a row without a handler holds the modes of the rows under it
+COMMANDS = {
+    ("construct",): (_cmd_construct, "build a named family", {
+        "which": {"choices": list(CONSTRUCTIONS)}, **_ints(_CONSTRUCT_OPTIONS), **_OUTPUT,
+        "--canonical": _FLAG}),
+    ("stats",): (_on_file(_cmd_stats), "basic invariants of a family file", {
+        **_FILE, "--canonical": _FLAG}),
+    ("tau",): (_on_file(_cmd_tau), "exact covering number", {
+        **_FILE, "--expect": {"type": int}}),
+    ("hitcount",): (_on_file(_cmd_hitcount), "count t-subsets meeting every member", {
+        **_FILE, **_ints(("t",), required=True)}),
+    ("minimal-tau2",): (_on_file(_cmd_minimal_tau2, census=_cmd_census),
+                        "minimal two-cover subfamily / class census", {
+        "family": {"nargs": "?"}, **_ints(("m", "s")), "--intersecting-only": _FLAG}),
+    ("shift",): (_on_file(_cmd_shift), "apply one (i,j)-compression", {
+        **_FILE, **_ints(("i", "j"), required=True), **_OUTPUT}),
+    ("switch",): (_on_file(_cmd_switch), "run the exchange pipeline to a fixed point", {
+        **_FILE, "--trace": {"metavar": "FILE", "help": "write the exchange trace as JSON"},
+        **_OUTPUT}),
+    ("peel",): (_on_file(_cmd_peel), "layer decomposition with reduction", {
+        **_FILE, "--trace": {"metavar": "FILE", "help": "write layers and reductions as JSON"}}),
+    ("spread",): (_on_file(_cmd_spread), "check r-spreadness", {
+        **_FILE, "--r": {"required": True, "help": "ratio, e.g. 2 or 7/2"}}),
+    ("verify",): (None, "formula identities and inequality grids", {}),
+    ("verify", "formula"): (_verify_formula, None, {
+        "--name": {"required": True, "choices": list(FORMULAS)}, **_ints(_FORMULA_OPTIONS)}),
+    ("verify", "grid"): (_verify_grid, None, {
+        "--name": {"required": True, "choices": list(GRID_CHECKS)},
+        "--ranges": {"help": "JSON map of dimension -> value list"},
+        "--jobs": {"type": int, "help": "ignored: grids run in one process"},
+        "--full": {**_FLAG, "help": "list every grid point, not only those that did not pass"}}),
+    ("search",): (None, "exhaustive oracles", {}),
+    ("search", "cnkt"): (_search_cnkt, None, {
+        **_ints(("n", "k", "t"), required=True),
+        "--all --all-optima": {"dest": "all_optima", **_FLAG}}),
+    ("search", "lemmin"): (_search_lemmin, None, {
+        **_ints(("m", "s", "k"), required=True),
+        "--intersecting --intersecting-only": {"dest": "intersecting_only", **_FLAG}}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="kfam")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a named family")
-    p.add_argument("which", choices=list(CONSTRUCTIONS))
-    for name in ("n", "k", "s"):
-        p.add_argument(f"--{name}", type=int)
-    p.add_argument("-o", "--output")
-    p.add_argument("--canonical", action="store_true")
-    p.set_defaults(func=_cmd_construct)
-
-    flag = {"action": "store_true"}
-    number = {"type": int, "required": True}
-    output = {"-o --output": {}}
-    # subcommands that read a family file -> (handler, help, their other options)
-    for name, func, help_, options in (
-        ("stats", _cmd_stats, "basic invariants of a family file", {"--canonical": flag}),
-        ("tau", _cmd_tau, "exact covering number", {"--expect": {"type": int}}),
-        ("hitcount", _cmd_hitcount, "count t-subsets meeting every member", {"--t": number}),
-        ("minimal-tau2", _cmd_minimal_tau2, "minimal two-cover subfamily / class census",
-         {"--m": {"type": int}, "--s": {"type": int}, "--intersecting-only": flag}),
-        ("shift", _cmd_shift, "apply one (i,j)-compression",
-         {"--i": number, "--j": number, **output}),
-        ("switch", _cmd_switch, "run the exchange pipeline to a fixed point",
-         {"--trace": {"metavar": "FILE", "help": "write the exchange trace as JSON"}, **output}),
-        ("peel", _cmd_peel, "layer decomposition with reduction",
-         {"--trace": {"metavar": "FILE", "help": "write layers and reductions as JSON"}}),
-        ("spread", _cmd_spread, "check r-spreadness",
-         {"--r": {"required": True, "help": "ratio, e.g. 2 or 7/2"}}),
-    ):
-        p = sub.add_parser(name, help=help_)
-        # the census form of minimal-tau2 takes --m and --s instead of a file
-        p.add_argument("family", nargs="?" if name == "minimal-tau2" else None)
+    groups = {(): top.add_subparsers(dest="command", required=True)}
+    for words, (handler, help_, options) in COMMANDS.items():
+        p = groups[words[:-1]].add_parser(words[-1], **({"help": help_} if help_ else {}))
         for flags, kwargs in options.items():
             p.add_argument(*flags.split(), **kwargs)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("verify", help="formula identities and inequality grids")
-    vs = p.add_subparsers(dest="mode", required=True)
-    pf = vs.add_parser("formula")
-    pf.add_argument("--name", required=True, choices=list(FORMULAS))
-    for name in ("n", "k", "s", "m", "z", "u", "a", "b", "j"):
-        pf.add_argument(f"--{name}", type=int)
-    pf.set_defaults(func=_verify_formula)
-    pg = vs.add_parser("grid")
-    pg.add_argument("--name", required=True, choices=list(GRID_CHECKS))
-    pg.add_argument("--ranges", help="JSON map of dimension -> value list")
-    pg.add_argument("--jobs", type=int, help="ignored: grids run in one process")
-    pg.add_argument("--full", action="store_true",
-                    help="list every grid point, not only those that did not pass")
-    pg.set_defaults(func=_verify_grid)
-
-    p = sub.add_parser("search", help="exhaustive oracles")
-    ss = p.add_subparsers(dest="mode", required=True)
-    sc = ss.add_parser("cnkt")
-    for name in ("n", "k", "t"):
-        sc.add_argument(f"--{name}", type=int, required=True)
-    sc.add_argument("--all", "--all-optima", dest="all_optima", action="store_true")
-    sc.set_defaults(func=_cmd_search)
-    sl = ss.add_parser("lemmin")
-    for name in ("m", "s", "k"):
-        sl.add_argument(f"--{name}", type=int, required=True)
-    sl.add_argument("--intersecting", "--intersecting-only",
-                    dest="intersecting_only", action="store_true")
-    sl.set_defaults(func=_cmd_search)
-
+        if handler is None:
+            groups[words] = p.add_subparsers(dest="mode", required=True)
+        else:
+            p.set_defaults(func=handler)
     return top
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     t0 = time.perf_counter()
     try:
-        return args.func(args, t0)
+        params, results, checks = args.func(args)
     except (DomainError, ScaleError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -458,6 +433,17 @@ def run(argv) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    report = {
+        "schema": SCHEMA,
+        "command": args.command,
+        "params": params,
+        "results": results,
+        "checks": checks,
+        "runtime_ms": int((time.perf_counter() - t0) * 1000),
+    }
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0 if all(c["pass"] for c in checks) else 1
 
 
 def main() -> None:

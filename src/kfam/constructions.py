@@ -23,15 +23,12 @@ def _cap_through_one(n: int, k: int, what: str):
         raise ScaleError(f"{what} over [{n}] choose {k} is too large to list")
 
 
-def full_star(n: int, k: int, center: int = 1) -> Family:
-    """All k-subsets of [n] through one fixed element."""
+def full_star(n: int, k: int) -> Family:
+    """All k-subsets of [n] through element 1."""
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got n={n} k={k}")
-    if not (1 <= center <= n):
-        raise DomainError(f"center {center} outside ground [{n}]")
     _cap_through_one(n, k, "star")
-    rest = [e for e in range(1, n + 1) if e != center]
-    masks = [mask_of(c) | mask_of([center]) for c in combinations(rest, k - 1)]
+    masks = [mask_of(c) | 1 for c in combinations(range(2, n + 1), k - 1)]
     return Family.from_masks(n, masks)
 
 

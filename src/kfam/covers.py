@@ -111,16 +111,14 @@ def count_hitting_sets(fam: Family, t: int) -> int:
 
 @dataclass(frozen=True)
 class MinimalTau2:
-    """A minimal subfamily of covering number 2, with one representative
-    element per member.
+    """A minimal subfamily of covering number 2 with its representative pools.
 
-    representatives[i] lies in every member except subfamily.members[i]; the
-    pools these are drawn from are pairwise disjoint, so the representatives
-    are distinct.
+    pools[i] lists the elements lying in every member except
+    subfamily.members[i]; the pools are nonempty and pairwise disjoint.
     """
 
     subfamily: Family
-    representatives: tuple[int, ...]
+    pools: tuple[tuple[int, ...], ...]
 
 
 def _rep_pool(members, idx: int) -> int:
@@ -155,13 +153,10 @@ def minimal_tau2_subfamily(fam: Family) -> MinimalTau2 | None:
             work = trial
 
     sub = Family.from_masks(fam.n, work)
-    reps = []
-    for i in range(len(sub.members)):
-        pool = _rep_pool(sub.members, i)
-        if pool == 0:
-            raise InvariantError("minimal two-cover subfamily without representatives")
-        reps.append(elements_of(pool)[0])
-    return MinimalTau2(sub, tuple(reps))
+    pools = representative_pools(sub)
+    if not all(pools):
+        raise InvariantError("minimal two-cover subfamily without representatives")
+    return MinimalTau2(sub, pools)
 
 
 def enumerate_minimal_tau2(m: int, s: int, intersecting_only: bool = False) -> list[Family]:

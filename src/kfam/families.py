@@ -11,9 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, ScaleError
 
 MAX_GROUND = 128
+# canonical_form refuses larger families: c3(12,5), 293 members, takes seconds
+_CANONICAL_CAP = 300
 
 
 def mask_of(elements) -> int:
@@ -372,6 +374,8 @@ def _orbit_reps(fam: Family, order, colour, es):
 
 def canonical_form(fam: Family) -> Family:
     """Relabel so the sorted member list is least over permutations of [n]."""
+    if len(fam.members) > _CANONICAL_CAP:
+        raise ScaleError(f"canonical form of {len(fam)} members: past the cap {_CANONICAL_CAP}")
     done = [m for m in fam.members if not m]
     # a partial labeling: (labeled elements in label order, open members as
     # (label mask, unlabeled elements), equitable colouring or None)

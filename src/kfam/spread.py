@@ -184,7 +184,7 @@ def _covered_by(fam: Family, base: Family) -> set:
     }
 
 
-def peel(fam: Family, rng: random.Random | None = None) -> PeelTrace:
+def peel(fam: Family) -> PeelTrace:
     """Iterated reduce-and-strip decomposition of an intersecting family.
 
     Round i (from k down to 2) reduces the current family to a maximal
@@ -201,7 +201,7 @@ def peel(fam: Family, rng: random.Random | None = None) -> PeelTrace:
     current = fam
     trace.residues[k] = current
     for i in range(k, 1, -1):
-        reduced = maximal_reduction(current, rng=rng, log=trace.reduction_log)
+        reduced = maximal_reduction(current, log=trace.reduction_log)
         layer = Family.from_masks(fam.n, (m for m in reduced.members if popcount(m) == i))
         if len(layer) > i**i:
             raise InvariantError(f"layer of {i}-sets exceeds {i}^{i}")

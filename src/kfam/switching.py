@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
 
-from .covers import covering_number, minimal_tau2_subfamily, representative_pools
+from .covers import covering_number, minimal_tau2_subfamily
 from .errors import DomainError, ExchangeError, InvariantError
 from .families import (
     Family,
@@ -268,9 +268,8 @@ def switch_pipeline(fam: Family) -> PipelineResult:
         mt = minimal_tau2_subfamily(avoid)
         if mt is None:
             raise InvariantError("covering number 3 must leave a two-cover residue")
-        core = mt.subfamily
+        core, pools = mt.subfamily, mt.pools
         z = len(core)
-        pools = representative_pools(core)
         cap = max(cap, comb(n, z) * z)
         passes += 1
         if passes > cap:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,8 @@ from kfam.cli import run
 from kfam.errors import InvariantError
 from kfam.families import family
 from kfam.fileio import load_family, save_family
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _invoke(capsys, argv):
@@ -82,6 +88,13 @@ def test_usage_and_domain_errors_exit_two(capsys, tmp_path, fixtures_dir, monkey
     for ratio in ("abc", "1/0"):
         assert run(["spread", str(fixtures_dir / "t2_k4.fam"), "--r", ratio]) == 2
         assert capsys.readouterr().err.startswith("error: --r must be a ratio")
+    # an option the command would ignore is refused, not echoed in the params
+    assert run(["construct", "c3", "--n", "9", "--k", "4", "--s", "3"]) == 2
+    assert capsys.readouterr().err == "error: construct c3 takes no --s\n"
+    assert run(["verify", "formula", "--name", "c3", "--n", "9", "--k", "4", "--z", "3"]) == 2
+    assert capsys.readouterr().err == "error: verify formula c3 takes no --z\n"
+    assert run(["minimal-tau2", str(fixtures_dir / "c3_n9_k4.fam"), "--m", "6", "--s", "3"]) == 2
+    assert "only without a file" in capsys.readouterr().err
     # a broken internal guarantee is a bug, told apart from a failed check (1)
     def broken(fam):
         raise InvariantError("exchange shrank the family")
@@ -199,6 +212,14 @@ def test_grid_that_checks_nothing_fails(capsys):
         assert report["results"]["all_pass"] is False
 
 
+def test_oversized_canonical_form_refused_before_searching(capsys):
+    # c3(14,6) has 1,233 members; the search alone would run for minutes
+    t0 = time.perf_counter()
+    assert run(["construct", "c3", "--n", "14", "--k", "6", "--canonical"]) == 2
+    assert time.perf_counter() - t0 < 5
+    assert "past the cap" in capsys.readouterr().err
+
+
 def test_oversized_constructions_refused_before_listing(capsys):
     for which in ("c3", "hm"):
         t0 = time.perf_counter()
@@ -225,6 +246,21 @@ def test_search_lemmin_subcommand(capsys):
     assert code == 0
     assert report["results"]["best"] == 47
     assert len(report["results"]["argmax_classes"]) == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["construct", "t2", "--k", "3"], 0),
+    (["tau", str(FIXTURES / "t2_k4.fam"), "--expect", "5"], 1),
+    (["no-such-command"], 2),
+])
+def test_main_exits_with_the_status_of_run(argv, code):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", "from kfam.cli import main; main()", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    if code < 2:
+        assert json.loads(proc.stdout)["schema"] == "kfam-report/1"
 
 
 def test_reports_deterministic(capsys):

@@ -123,6 +123,7 @@ def test_minimal_tau2_subfamily_properties(fam):
     assert sub.member_set <= fam.member_set
     assert _is_minimal_tau2(sub.members)
     pools = representative_pools(sub)
+    assert mt.pools == pools
     assert len(pools) == len(sub.members)
     for i, pool in enumerate(pools):
         assert pool, "minimality forces a nonempty pool per member"

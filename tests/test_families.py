@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 
 from helpers import brute_is_intersecting, perm_canonical, random_uniform_family
 from kfam.constructions import c3, full_star, t2, t2prime
-from kfam.errors import DomainError
+from kfam.errors import DomainError, ScaleError
 from kfam.families import (
+    _CANONICAL_CAP,
     Family,
     are_cross_intersecting,
     are_isomorphic,
@@ -176,6 +178,17 @@ def test_canonical_past_refinement():
     canon = canonical_form(both)
     assert canon.members[:3] == (0b011, 0b101, 0b110)
     assert canonical_form(_relabel(both, {e: 13 - e for e in range(1, 13)})) == canon
+
+
+def test_canonical_refuses_past_its_cap():
+    # c3(12,5), 293 members, takes seconds and stays in; c3(13,5) has 408
+    assert len(c3(12, 5)) <= _CANONICAL_CAP < len(c3(13, 5))
+    star = full_star(14, 4)  # 286 members, many symmetries
+    assert canonical_form(star) == star
+    t0 = time.perf_counter()
+    with pytest.raises(ScaleError):
+        canonical_form(c3(13, 5))
+    assert time.perf_counter() - t0 < 5
 
 
 @settings(max_examples=80, deadline=None)

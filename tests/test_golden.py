@@ -56,6 +56,14 @@ CASES = {
     "construct_star": ("construct star --n 7 --k 3", {}, 0),
     "construct_hm": ("construct hm --n 9 --k 4", {}, 0),
     "construct_t2_canonical": ("construct t2 --k 4 --canonical", {}, 0),
+    # family-file options and census/search modes the README leaves out
+    "tau_expect_pass": ("tau c9.fam --expect 3", C9, 0),
+    "tau_expect_fail": ("tau c9.fam --expect 2", C9, 1),
+    "stats_canonical": ("stats c9.fam --canonical", C9, 0),
+    "minimal_tau2_census": ("minimal-tau2 --m 6 --s 3", {}, 0),
+    "minimal_tau2_census_intersecting": ("minimal-tau2 --m 6 --s 3 --intersecting-only", {}, 0),
+    "search_cnkt_single": ("search cnkt --n 7 --k 3 --t 2", {}, 0),
+    "search_lemmin_intersecting": ("search lemmin --m 9 --s 3 --k 4 --intersecting", {}, 0),
     # every branch of verify formula
     "formula_f2prime": ("verify formula --name f2prime --m 9 --s 3 --k 4", {}, 0),
     "formula_fz_z2": ("verify formula --name fz --m 9 --s 3 --k 4 --z 2", {}, 0),
