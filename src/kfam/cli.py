@@ -86,6 +86,15 @@ def _lookup(table: dict, key: str, args, options: tuple, what: str):
     return func
 
 
+def _write_output(args, results: dict, fam: Family | None) -> None:
+    """Save fam to the -o file, when one is given; results say what was
+    written, null when fam is None and nothing was."""
+    if args.output:
+        if fam is not None:
+            save_family(fam, args.output)
+        results["written"] = args.output if fam is not None else None
+
+
 def _write_trace(args, results: dict, payload) -> None:
     """Write payload as JSON to the --trace file, when one is given."""
     if args.trace:
@@ -110,9 +119,7 @@ def _cmd_construct(args):
     if args.canonical:
         fam = canonical_form(fam)
     results = {"n": fam.n, "size": len(fam.members), "members": _sets(fam)}
-    if args.output:
-        save_family(fam, args.output)
-        results["written"] = args.output
+    _write_output(args, results, fam)
     return _given(args), results, []
 
 
@@ -136,9 +143,9 @@ def _cmd_stats(args, fam):
         "size": len(fam.members),
         "uniform_k": fam.uniform_k,
         "intersecting": is_intersecting(fam),
-        "max_degree": max_degree(fam) if fam.members else 0,
-        "max_degree_element": max_degree_element(fam) if fam.members else None,
-        "diversity": diversity(fam) if fam.members else 0,
+        "max_degree": max_degree(fam),
+        "max_degree_element": max_degree_element(fam),
+        "diversity": diversity(fam),
         "members": _sets(fam),
     }
     return {"canonical": True} if args.canonical else {}, results, []
@@ -194,13 +201,12 @@ def _cmd_census(args):
 
 def _cmd_shift(args, fam):
     out = shift_family(fam, args.i, args.j)
-    if args.output:
-        save_family(out, args.output)
     results = {
         "size": len(out.members),
         "changed": out != fam,
         "members": _sets(out),
     }
+    _write_output(args, results, out)
     checks = [_check("size-preserved", len(out.members) == len(fam.members),
                      len(out.members), len(fam.members))]
     return {"i": args.i, "j": args.j}, results, checks
@@ -208,8 +214,6 @@ def _cmd_shift(args, fam):
 
 def _cmd_switch(args, fam):
     res = switch_pipeline(fam)
-    if args.output and res.converged:
-        save_family(res.family, args.output)
     results = {
         "status": res.status,
         "passes": res.passes,
@@ -217,6 +221,7 @@ def _cmd_switch(args, fam):
         "size_after": len(res.family.members),
         "members": _sets(res.family),
     }
+    _write_output(args, results, res.family if res.converged else None)
     _write_trace(args, results, res.trace)
     checks = [
         _check("converged", res.converged, res.status, "converged"),

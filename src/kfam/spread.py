@@ -11,7 +11,7 @@ of i-sets in such a family has at most i^i members.
 """
 from __future__ import annotations
 
-import random
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,6 +20,7 @@ from .families import (
     Family,
     elements_of,
     is_intersecting,
+    mask_of,
     popcount,
     restrict_contains_strip,
 )
@@ -120,43 +121,34 @@ def find_spread_restriction(fam: Family, r) -> tuple[tuple, Family]:
     return elements_of(best), stripped
 
 
-def maximal_reduction(fam: Family, rng: random.Random | None = None, log: list | None = None) -> Family:
+def maximal_reduction(fam: Family, log: list | None = None) -> Family:
     """Shrink members until none can lose an element and stay intersecting.
 
     Replacing a member by a proper nonempty subset is allowed whenever the
     family remains intersecting; single-element deletions suffice to reach
-    a fully reduced family.  Deterministic schedule: members largest first,
-    highest label dropped first; pass rng to randomize (the fixed point is
-    schedule-dependent, its invariants are not).  Each applied replacement
-    is appended to log as (old_mask, new_mask).
+    a fully reduced family.  Schedule: the first member in the order
+    (largest first, then by mask, then by position) that can lose an
+    element loses its highest such label.  Intersections only shrink, so a
+    member that cannot lose an element now never can: one sweep over a heap
+    in that order, pushing each reduced member back at its new place, meets
+    every member the schedule would.  Each applied replacement is appended
+    to log as (old_mask, new_mask).
     """
     if not is_intersecting(fam):
         raise DomainError("maximal_reduction expects an intersecting family")
     members = list(fam.members)
-    changed = True
-    while changed:
-        changed = False
-        order = sorted(range(len(members)), key=lambda i: (-popcount(members[i]), members[i]))
-        if rng is not None:
-            rng.shuffle(order)
-        for idx in order:
-            m = members[idx]
-            if popcount(m) <= 1:
-                continue
-            els = list(elements_of(m))
-            els.sort(reverse=True)
-            if rng is not None:
-                rng.shuffle(els)
-            for e in els:
-                cand = m & ~(1 << (e - 1))
-                others = [members[t] for t in range(len(members)) if t != idx]
-                if all(cand & o for o in others):
-                    members[idx] = cand
-                    if log is not None:
-                        log.append((m, cand))
-                    changed = True
-                    break
-            if changed:
+    heap = [(-popcount(m), m, idx) for idx, m in enumerate(members)]
+    heapq.heapify(heap)
+    while heap:
+        _, m, idx = heapq.heappop(heap)
+        for e in reversed(elements_of(m)):
+            cand = m & ~(1 << (e - 1))
+            # m is among the members, so an empty cand fails the test
+            if all(cand & o for o in members):
+                members[idx] = cand
+                if log is not None:
+                    log.append((m, cand))
+                heapq.heappush(heap, (-popcount(cand), cand, idx))
                 break
     # drop members that became duplicates or proper supersets of another
     out = sorted(set(members))
@@ -173,15 +165,6 @@ class PeelTrace:
     layers: dict = field(default_factory=dict)  # i -> Family of the peeled i-sets
     residues: dict = field(default_factory=dict)  # i -> family entering round i
     reduction_log: list = field(default_factory=list)
-
-
-def _covered_by(fam: Family, base: Family) -> set:
-    """Masks of fam members containing some member of base."""
-    return {
-        m
-        for m in fam.members
-        if any(m & b == b for b in base.members)
-    }
 
 
 def peel(fam: Family) -> PeelTrace:
@@ -208,10 +191,8 @@ def peel(fam: Family) -> PeelTrace:
         trace.layers[i] = layer
         current = Family.from_masks(fam.n, (m for m in reduced.members if popcount(m) != i))
         trace.residues[i - 1] = current
-        covered = _covered_by(fam, current)
-        for j in range(i, k + 1):
-            covered |= _covered_by(fam, trace.layers[j])
-        if len(covered) != len(fam):
+        kept = [*current.members, *(g for j in range(i, k + 1) for g in trace.layers[j].members)]
+        if not all(any(m & g == g for g in kept) for m in fam.members):
             raise InvariantError(f"coverage identity failed entering round {i - 1}")
     return trace
 
@@ -259,8 +240,6 @@ def lemma_spread2_check(g: Family, x, gp: Family, alpha, m: int) -> SpreadSwitch
     be hit too often by the spread restriction.  With a hypothesis dropped
     the conclusion can genuinely fail, which is what the flags expose.
     """
-    from .families import mask_of
-
     x_mask = mask_of(x)
     if x_mask >> g.n:
         raise DomainError("X does not fit the ground set")

@@ -76,7 +76,7 @@ def exchange_Gi(fam: Family, ctx: SwitchContext, i: int, m) -> Family:
     pivot_bit = 1 << (ctx.pivot - 1)
     rep_bit = 1 << (i - 1)
     m_mask = m if isinstance(m, int) else mask_of(m)
-    if m_mask not in set(ctx.core.members):
+    if m_mask not in ctx.core.member_set:
         raise DomainError("m must be a core member")
     if m_mask not in fam.member_set:
         raise DomainError("core member missing from the family")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from kfam.families import Family, mask_of
+from kfam.families import Family, elements_of, mask_of
 from kfam.formulas import binom
 
 
@@ -83,6 +83,32 @@ def random_intersecting_family(rng: random.Random, n: int, k: int, target: int) 
         if all(m & o for o in out):
             out.append(m)
     return Family.from_masks(n, out)
+
+
+def restart_reduction(fam: Family, log: list) -> Family:
+    """maximal_reduction's schedule run literally: scan the members largest
+    first (then by mask, then by position), apply the first legal deletion of
+    a highest label, and start the scan over after every deletion."""
+    members = list(fam.members)
+    changed = True
+    while changed:
+        changed = False
+        order = sorted(range(len(members)), key=lambda i: (-bin(members[i]).count("1"), members[i]))
+        for idx in order:
+            m = members[idx]
+            if bin(m).count("1") <= 1:
+                continue
+            for e in sorted(elements_of(m), reverse=True):
+                cand = m & ~(1 << (e - 1))
+                if all(cand & o for t, o in enumerate(members) if t != idx):
+                    members[idx] = cand
+                    log.append((m, cand))
+                    changed = True
+                    break
+            if changed:
+                break
+    out = set(members)
+    return Family.from_masks(fam.n, [m for m in out if not any(o != m and o & m == o for o in out)])
 
 
 # Layer-by-layer sums of binomials: the forms the closed-form counts in

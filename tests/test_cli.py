@@ -121,6 +121,17 @@ def test_stats_fixture(capsys, fixtures_dir):
     assert res["diversity"] == 3
 
 
+def test_stats_of_empty_family(capsys, tmp_path):
+    path = tmp_path / "empty.fam"
+    path.write_text("n=5\n")
+    code, report = _invoke(capsys, ["stats", str(path)])
+    assert code == 0
+    res = report["results"]
+    assert (res["size"], res["max_degree"], res["max_degree_element"], res["diversity"]) == (
+        0, 0, None, 0)
+    assert res["members"] == []
+
+
 def test_hitcount(capsys, fixtures_dir):
     code, report = _invoke(capsys, ["hitcount", str(fixtures_dir / "t2_k4.fam"), "--t", "2"])
     assert code == 0
@@ -156,6 +167,21 @@ def test_switch_subcommand(capsys, fixtures_dir, tmp_path):
     assert code == 0
     assert report["results"]["status"] == "converged"
     assert isinstance(json.load(open(trace)), list)
+
+
+def test_switch_output_written_only_when_converged(capsys, fixtures_dir, tmp_path):
+    out = tmp_path / "sw.fam"
+    code, report = _invoke(capsys, ["switch", str(fixtures_dir / "c3_n10_k4.fam"), "-o", str(out)])
+    assert code == 0
+    assert report["results"]["written"] == str(out)
+    assert load_family(out).members
+    out.unlink()
+    code, report = _invoke(
+        capsys, ["switch", str(fixtures_dir / "switch_abort_n10_k5.fam"), "-o", str(out)])
+    assert code == 1
+    assert report["results"]["status"].startswith("aborted")
+    assert report["results"]["written"] is None
+    assert not out.exists()
 
 
 def test_peel_subcommand(capsys, fixtures_dir):

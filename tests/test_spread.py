@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_intersecting_family
+from helpers import random_intersecting_family, restart_reduction
 from kfam.constructions import c3, full_star, t2
 from kfam.errors import DomainError
 from kfam.families import Family, elements_of, family, is_intersecting, mask_of
@@ -126,12 +126,17 @@ def test_reduction_postconditions_random():
         _assert_reduction_postconditions(fam, red)
 
 
-def test_reduction_random_schedules_still_valid():
+def test_reduction_matches_restart_oracle():
     rng = random.Random(11)
-    fam = random_intersecting_family(rng, 8, 3, 10)
-    for seed in range(8):
-        red = maximal_reduction(fam, rng=random.Random(seed))
-        _assert_reduction_postconditions(fam, red)
+    cases = [c3(n, k) for n, k in ((9, 4), (10, 4), (11, 4), (12, 4), (10, 5), (11, 5), (12, 5))]
+    for _ in range(300):
+        n = rng.randint(4, 11)
+        k = rng.randint(2, min(5, n - 1))
+        cases.append(random_intersecting_family(rng, n, k, rng.randint(1, 20)))
+    for fam in cases:
+        log, want_log = [], []
+        assert maximal_reduction(fam, log=log) == restart_reduction(fam, want_log)
+        assert log == want_log
 
 
 def test_peel_star_collapses():
