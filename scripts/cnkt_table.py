@@ -7,7 +7,9 @@ Usage: python3 scripts/cnkt_table.py [--nmax 9] [--k 3] [--tmax 3] [--classes]
 
 Small n only; the oracle is an exact branch and bound.  --classes also counts
 optimal isomorphism classes (slower).  Exits 1 if c(n,k,t) rises with t
-at some n.
+at some n, or misses its reference: c(n,k,1) must equal C(n-1,k-1),
+c(n,k,2) the Hilton-Milner size and c(n,k,3) must reach the three-base
+construction's size.
 """
 import argparse
 import sys
@@ -39,14 +41,22 @@ def main():
             res = max_intersecting_tau(n, k, t, all_optima=args.classes)
             dt = time.perf_counter() - t0
             if t == 1:
-                ref = f"{binom(n - 1, k - 1)} star"
+                want = binom(n - 1, k - 1)
+                ref, ok = f"{want} star", res.optimum == want
             elif t == 2:
-                ref = f"{hm_size(n, k)} hm"
+                want = hm_size(n, k)
+                ref, ok = f"{want} hm", res.optimum == want
+            elif t == 3:
+                want = size_c3(n, k)
+                ref, ok = f">={want} c3", res.optimum >= want
             else:
-                ref = f">={size_c3(n, k)} c3" if n >= 2 * k else "-"
+                ref, ok = "-", True
             row = f"{n:>4} {t:>3} {res.optimum:>9} {ref:>10} {dt:>7.2f}s"
             if args.classes:
                 row += f" {len(res.witnesses):>9}"
+            if not ok:
+                row += "  <-- reference missed"
+                broken = True
             # c(n,k,t) is non-increasing in t at fixed n
             if (n, t - 1) in prev and res.optimum > prev[(n, t - 1)]:
                 row += "  <-- monotonicity broken"

@@ -5,14 +5,21 @@ with covering number >= t, is computed by exact search.  Since the
 covering number never drops when members are added, every optimum is
 attained by a saturated (maximal) intersecting family, i.e. a maximal
 clique of the intersection graph on all k-sets.  We run Bron-Kerbosch
-with pivoting over that graph, with two sound prunes:
+with pivoting over that graph, rooted at the member [k]: every nonempty
+k-uniform family has a relabeled copy that contains [k], so the cliques
+through that one vertex already reach the optimum and hold a copy of
+every optimal class.  Two sound prunes cut the search further:
 
  - size: a branch whose clique-plus-candidates total cannot beat the
    incumbent is dropped (the incumbent starts from a known construction
    when one applies);
- - covers: if the union of current clique and candidates is covered by a
-   single element (t >= 2) or by a pair (t >= 3), no subfamily can have
-   covering number >= t.
+ - covers: if the union of current clique and candidates is hit by t - 1
+   elements, no subfamily can have covering number >= t.
+
+One exact check decides "hit by d elements" for the prune and for the
+covering number of a leaf: some chosen element must meet the lowest
+remaining member, so it branches on that member's k elements and recurses
+on the members left unmet with d - 1 (k^d cases instead of C(n, d)).
 """
 from __future__ import annotations
 
@@ -88,11 +95,12 @@ def max_intersecting_tau(
             if ma & masks[b]:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
+    elems = [elements_of(m) for m in masks]
     coverv = [0] * (n + 1)
-    for v, m in enumerate(masks):
-        for x in elements_of(m):
+    for v, es in enumerate(elems):
+        for x in es:
             coverv[x] |= 1 << v
-    pair_covers = [coverv[x] | coverv[y] for x, y in combinations(range(1, n + 1), 2)]
+    root = masks.index(mask_of(range(1, k + 1)))
 
     best = 0
     witnesses: list[Family] = []
@@ -113,18 +121,17 @@ def max_intersecting_tau(
     def family_of(rbits: int) -> Family:
         return Family.from_masks(n, (masks[v] for v in _bit_indices(rbits)))
 
-    def tau_at_least(rbits: int) -> bool:
-        if t <= 1:
-            return rbits != 0
-        if any(rbits & ~cm == 0 for cm in coverv[1:]):
-            return False
-        if t == 2:
+    def hit_by(bits: int, d: int) -> bool:
+        """Whether at most d elements meet every member in bits."""
+        if not bits:
             return True
-        if any(rbits & ~pm == 0 for pm in pair_covers):
+        if d == 0:
             return False
-        if t == 3:
-            return True
-        return covering_number(family_of(rbits)).tau >= t
+        v = (bits & -bits).bit_length() - 1
+        for x in elems[v]:
+            if hit_by(bits & ~coverv[x], d - 1):
+                return True
+        return False
 
     def expand(rbits: int, nr: int, p: int, x: int):
         nonlocal best, witnesses, have_witness, nodes, pruned
@@ -132,7 +139,7 @@ def max_intersecting_tau(
         if p == 0 and x == 0:
             if nr < best or (nr == best and have_witness and not all_optima):
                 return
-            if not tau_at_least(rbits):
+            if hit_by(rbits, t - 1):
                 return
             fam = family_of(rbits)
             if nr > best:
@@ -150,11 +157,7 @@ def max_intersecting_tau(
         ):
             pruned += 1
             return
-        union = rbits | p
-        if t >= 2 and any(union & ~cm == 0 for cm in coverv[1:]):
-            pruned += 1
-            return
-        if t >= 3 and any(union & ~pm == 0 for pm in pair_covers):
+        if hit_by(rbits | p, t - 1):
             pruned += 1
             return
         px = p | x
@@ -177,7 +180,7 @@ def max_intersecting_tau(
             x |= vb
             ext &= ~vb
 
-    expand(0, 0, (1 << nv) - 1, 0)
+    expand(1 << root, 1, adj[root], 0)
 
     if all_optima:
         witnesses = dedup_isomorphism_classes(witnesses)

@@ -44,12 +44,10 @@ def brute_count_hitting(fam: Family, t: int) -> int:
     return count
 
 
-def perm_canonical(fam: Family) -> tuple:
-    """Lexicographically least relabeling over the full symmetric group.
-
-    Only viable for small n; used to certify canonical_form.
-    """
-    best = None
+def perm_orbit(fam: Family) -> set:
+    """Every relabeling of fam over the full symmetric group, each as a
+    sorted tuple of masks.  Only viable for small n."""
+    orbit = set()
     for perm in permutations(range(fam.n)):
         relabeled = []
         for m in fam.members:
@@ -60,10 +58,46 @@ def perm_canonical(fam: Family) -> tuple:
                 out |= 1 << perm[low.bit_length() - 1]
                 rest ^= low
             relabeled.append(out)
-        key = tuple(sorted(relabeled))
-        if best is None or key < best:
-            best = key
-    return best
+        orbit.add(tuple(sorted(relabeled)))
+    return orbit
+
+
+def perm_canonical(fam: Family) -> tuple:
+    """Lexicographically least relabeling over the full symmetric group.
+
+    Only viable for small n; used to certify canonical_form.
+    """
+    return min(perm_orbit(fam))
+
+
+def brute_cnkt(n: int, k: int, t: int):
+    """c(n,k,t) and the perm_canonical keys of its optimal classes.
+
+    Lists every maximal clique of the intersection graph on all k-sets of
+    [n] by plain Bron-Kerbosch (no pivot, no rooting, no prunes) and judges
+    each with brute_tau.  Adding a member never lowers the covering number,
+    so every optimum is a maximal clique.
+    """
+    maximal = []
+
+    def extend(clique, cands, done):
+        if not cands and not done:
+            maximal.append(clique)
+        for i, v in enumerate(cands):
+            later = cands[i + 1 :]
+            extend(clique + [v], [u for u in later if u & v], [u for u in done if u & v])
+            done = done + [v]
+
+    extend([], [mask_of(c) for c in combinations(range(1, n + 1), k)], [])
+    good = [f for f in (Family.from_masks(n, c) for c in maximal) if brute_tau(f) >= t]
+    best = max((len(f) for f in good), default=0)
+    classes, seen = set(), set()
+    for f in good:
+        if len(f) == best and f.members not in seen:
+            orbit = perm_orbit(f)
+            seen |= orbit
+            classes.add(min(orbit))
+    return best, classes
 
 
 def random_uniform_family(rng: random.Random, n: int, k: int, size: int) -> Family:

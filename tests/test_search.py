@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import random_intersecting_family
+from helpers import brute_cnkt, perm_canonical, random_intersecting_family
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.covers import covering_number, tau
 from kfam.errors import DomainError, ScaleError
@@ -60,9 +60,37 @@ def test_cnkt_monotone_in_t():
 
 
 def test_cnkt_schedule_independent():
+    # the root [k] sits at a different index after each shuffle
     base = max_intersecting_tau(7, 3, 2).optimum
     for seed in (1, 2, 3):
         assert max_intersecting_tau(7, 3, 2, rng=random.Random(seed)).optimum == base
+    for n in (7, 8):
+        base = max_intersecting_tau(n, 3, 3)
+        for seed in (1, 2, 3):
+            res = max_intersecting_tau(n, 3, 3, rng=random.Random(seed))
+            assert (res.optimum, res.witnesses) == (base.optimum, base.witnesses)
+    base = max_intersecting_tau(7, 3, 3, all_optima=True)
+    for seed in (1, 2, 3):
+        res = max_intersecting_tau(7, 3, 3, all_optima=True, rng=random.Random(seed))
+        assert (res.optimum, res.witnesses) == (base.optimum, base.witnesses)
+
+
+@pytest.mark.parametrize(
+    "n,k,t",
+    [(n, k, t) for n in range(1, 7) for k in range(1, min(n, 3) + 1) for t in range(1, k + 1)],
+)
+def test_cnkt_matches_unrooted_oracle(n, k, t):
+    best, classes = brute_cnkt(n, k, t)
+    for seed in (None, 1, 2, 3):
+        rng = None if seed is None else random.Random(seed)
+        res = max_intersecting_tau(n, k, t, rng=rng)
+        assert res.optimum == best
+        assert {perm_canonical(w) for w in res.witnesses} <= classes
+        assert len(res.witnesses) == (1 if classes else 0)
+    res = max_intersecting_tau(n, k, t, all_optima=True)
+    assert res.optimum == best
+    assert len(res.witnesses) == len(classes)
+    assert {perm_canonical(w) for w in res.witnesses} == classes
 
 
 def test_cnkt_guards():
