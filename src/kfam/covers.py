@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 from .errors import DomainError, InvariantError, ScaleError
 from .families import (
@@ -135,7 +137,9 @@ def minimal_tau2_subfamily(fam: Family) -> MinimalTau2 | None:
     Returns None when the covering number is at most 1.  Dropping one member
     lowers the covering number by at most one, so removing members from the
     back walks it down to exactly 2; a single in-order deletion pass then
-    reaches minimality because removability is monotone under shrinking.
+    reaches minimality because removability is monotone under shrinking.  In
+    that pass a nonempty subfamily has covering number 2 exactly when its
+    members share no element.
     """
     result = covering_number(fam)
     if result.tau is math.inf:
@@ -149,7 +153,7 @@ def minimal_tau2_subfamily(fam: Family) -> MinimalTau2 | None:
 
     for m in list(work):
         trial = [x for x in work if x != m]
-        if covering_number(Family.from_masks(fam.n, trial)).tau == 2:
+        if trial and not reduce(and_, trial):
             work = trial
 
     sub = Family.from_masks(fam.n, work)
@@ -171,7 +175,9 @@ def enumerate_minimal_tau2(m: int, s: int, intersecting_only: bool = False) -> l
     intersection empties out.  Branches die on their own: a set-pair count
     caps how long all pools can stay nonempty.
     """
-    if not (1 <= s <= 5 and s <= m <= 12):
+    if not 1 <= s <= m:
+        raise DomainError(f"need 1 <= s <= m, got m={m} s={s}")
+    if s > 5 or m > 12:
         raise ScaleError(f"supported range is s <= 5, m <= 12, got m={m} s={s}")
 
     all_sets = [mask_of(c) for c in combinations(range(1, m + 1), s)]

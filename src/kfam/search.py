@@ -104,16 +104,11 @@ def max_intersecting_tau(
 
     best = 0
     witnesses: list[Family] = []
-    have_witness = False
-    seed = None
     if not all_optima:
         seed = _seed_family(n, k, t)
         if seed is not None and covering_number(seed).tau >= t:
             best = len(seed)
             witnesses = [seed]
-            have_witness = True
-        else:
-            seed = None
 
     nodes = 0
     pruned = 0
@@ -134,10 +129,10 @@ def max_intersecting_tau(
         return False
 
     def expand(rbits: int, nr: int, p: int, x: int):
-        nonlocal best, witnesses, have_witness, nodes, pruned
+        nonlocal best, witnesses, nodes, pruned
         nodes += 1
         if p == 0 and x == 0:
-            if nr < best or (nr == best and have_witness and not all_optima):
+            if nr < best or (nr == best and not all_optima):
                 return
             if hit_by(rbits, t - 1):
                 return
@@ -145,16 +140,11 @@ def max_intersecting_tau(
             if nr > best:
                 best = nr
                 witnesses = [fam]
-            elif all_optima:
-                witnesses.append(fam)
             else:
-                witnesses = [fam]
-            have_witness = True
+                witnesses.append(fam)
             return
         potential = nr + popcount(p)
-        if potential < best or (
-            potential == best and have_witness and not all_optima
-        ):
+        if potential < best or (potential == best and not all_optima):
             pruned += 1
             return
         if hit_by(rbits | p, t - 1):
@@ -187,8 +177,6 @@ def max_intersecting_tau(
     out = sorted(
         (canonical_form(w) for w in witnesses), key=lambda f: f.members
     )
-    if not all_optima:
-        out = out[:1]
     return SearchResult(optimum=best, witnesses=out, nodes_explored=nodes, pruned=pruned)
 
 

@@ -145,6 +145,30 @@ def restart_reduction(fam: Family, log: list) -> Family:
     return Family.from_masks(fam.n, [m for m in out if not any(o != m and o & m == o for o in out)])
 
 
+def covering_minimal_tau2(fam: Family):
+    """minimal_tau2_subfamily's two passes run literally, judging every step
+    by brute_tau: pop members off the back while the covering number is
+    above 2, then delete in order each member whose removal keeps it at 2.
+    Returns (members, pools) with pools[i] the elements of every member but
+    members[i], or None when the covering number is at most 1."""
+    if brute_tau(fam) <= 1:
+        return None
+    work = list(fam.members)
+    while brute_tau(Family.from_masks(fam.n, work)) > 2:
+        work.pop()
+    for m in list(work):
+        trial = [x for x in work if x != m]
+        if brute_tau(Family.from_masks(fam.n, trial)) == 2:
+            work = trial
+    members = Family.from_masks(fam.n, work).members
+    pools = tuple(
+        tuple(e for e in range(1, fam.n + 1) if not m >> (e - 1) & 1
+              and all(o >> (e - 1) & 1 for o in members if o != m))
+        for m in members
+    )
+    return members, pools
+
+
 # Layer-by-layer sums of binomials: the forms the closed-form counts in
 # kfam.formulas were derived from by the hockey-stick identity.
 
@@ -175,3 +199,8 @@ def sum_fprime3(m: int, s: int, k: int) -> int:
     for l in range(1, s - 3):
         total += binom(m - 4 - l, k - 2) - binom(m - s - 3 - l, k - 2)
     return total
+
+
+def sum_eqboundc2_layers(n: int, k: int) -> int:
+    """The layer sum sum_{i=2}^{k} C(n-k-i, k-2) on the left of eqboundc2."""
+    return sum(binom(n - k - i, k - 2) for i in range(2, k + 1))

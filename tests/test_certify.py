@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from helpers import sum_eqboundc2_layers
 
 from kfam.certify import (
     ACCEPTANCE_GRIDS,
@@ -121,3 +122,57 @@ def test_report_json_shape():
     assert payload["all_pass"] is True
     for entry in payload["points"]:
         assert set(entry) >= {"point", "lhs", "rhs", "pass"}
+
+
+_BIG_N = {99: 2 * 98**2, 100: 2 * 99**2}  # n = 2(k-1)^2, one short of the big regime
+
+
+# Per grid, one point per hypothesis in declared order: it keeps every
+# earlier hypothesis and misses its own and every later one, so the reason
+# reported names the first hypothesis missed and pins the order.
+@pytest.mark.parametrize(
+    "name, point, reason",
+    [
+        ("f-mono", {"k": 3, "s": 4, "m": 6, "z": 2}, "needs k >= 4"),
+        ("f-mono", {"k": 4, "s": 5, "m": 8, "z": 2}, "needs 2 <= s <= k"),
+        ("f-mono", {"k": 4, "s": 2, "m": 5, "z": 4}, "needs m >= k+s"),
+        ("f-mono", {"k": 4, "s": 2, "m": 6, "z": 4}, "needs 3 <= z <= s+1"),
+        ("f3-fprime3", {"k": 3, "s": 3, "m": 5}, "needs k >= 4"),
+        ("f3-fprime3", {"k": 4, "s": 3, "m": 6}, "needs 4 <= s <= k"),
+        ("f3-fprime3", {"k": 4, "s": 4, "m": 7}, "needs m >= k+s"),
+        ("g-ratio", {"n": _BIG_N[99], "k": 99, "i": 5}, "needs k >= 100"),
+        ("g-ratio", {"n": _BIG_N[100], "k": 100, "i": 5}, "needs n > 2(k-1)^2"),
+        ("g-ratio", {"n": _BIG_N[100] + 1, "k": 100, "i": 101}, "needs 6 <= i <= k"),
+        *[
+            (name, point, reason)
+            for name in ("two-g5", "eqc3large", "peel-combine")
+            for point, reason in [
+                ({"n": _BIG_N[99], "k": 99}, "needs k >= 100"),
+                ({"n": _BIG_N[100], "k": 100}, "needs n > 2(k-1)^2"),
+            ]
+        ],
+        ("eqboundf", {"n": 50 * 98, "k": 99}, "needs k >= 100"),
+        ("eqboundf", {"n": 50 * 99, "k": 100}, "needs n >= 50(k-1)+1"),
+        ("eqboundc2", {"n": 6, "k": 3}, "needs k >= 4"),
+        ("eqboundc2", {"n": 8, "k": 4}, "needs n > 2k"),
+        ("final-compare", {"k": 99}, "needs k >= 100"),
+    ],
+)
+def test_skip_reason_names_the_first_missed_hypothesis(name, point, reason):
+    report = certify_grid(name, ranges={dim: [value] for dim, value in point.items()})
+    assert (report.total, report.checked, report.passed) == (1, 0, 0)
+    assert report.failures() == []
+    assert report.to_json()["points"] == [
+        {"point": point, "lhs": [], "rhs": [], "pass": False, "skipped": reason}
+    ]
+
+
+def test_eqboundc2_closed_form_matches_its_layer_sum():
+    # the grid evaluates sum_{i=2}^{k} C(n-k-i, k-2) by the hockey-stick identity
+    for k in range(4, 80):
+        report = certify_grid("eqboundc2", ranges={"k": [k], "n": list(range(8 * k + 10))},
+                              full=True)
+        assert report.n_skipped == 2 * k + 1
+        for pt in report.points[2 * k + 1:]:
+            n = pt.params["n"]
+            assert pt.lhs[0] == binom(n - k - 2, k - 2) + sum_eqboundc2_layers(n, k), (n, k)

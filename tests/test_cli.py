@@ -95,6 +95,11 @@ def test_usage_and_domain_errors_exit_two(capsys, tmp_path, fixtures_dir, monkey
     assert capsys.readouterr().err == "error: verify formula c3 takes no --z\n"
     assert run(["minimal-tau2", str(fixtures_dir / "c3_n9_k4.fam"), "--m", "6", "--s", "3"]) == 2
     assert "only without a file" in capsys.readouterr().err
+    for m, s in (("4", "0"), ("3", "4")):
+        assert run(["minimal-tau2", "--m", m, "--s", s]) == 2
+        assert capsys.readouterr().err == f"error: need 1 <= s <= m, got m={m} s={s}\n"
+    assert run(["minimal-tau2", "--m", "13", "--s", "3"]) == 2
+    assert "supported range is s <= 5, m <= 12" in capsys.readouterr().err
     # a broken internal guarantee is a bug, told apart from a failed check (1)
     def broken(fam):
         raise InvariantError("exchange shrank the family")

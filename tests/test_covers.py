@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_count_hitting, brute_tau, perm_canonical, random_uniform_family
+from helpers import (
+    brute_count_hitting,
+    brute_tau,
+    covering_minimal_tau2,
+    perm_canonical,
+    random_intersecting_family,
+    random_uniform_family,
+)
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.covers import (
     count_hitting_sets,
@@ -137,6 +144,20 @@ def test_minimal_tau2_subfamily_properties(fam):
     for i in range(len(pools)):
         for j in range(i + 1, len(pools)):
             assert not set(pools[i]) & set(pools[j])
+
+
+def test_minimal_tau2_subfamily_matches_the_covering_number_passes():
+    rng = random.Random(7)
+    fams = [c3(n, k) for n in range(9, 13) for k in (4, 5) if n >= 2 * k]
+    for _ in range(150):
+        n = rng.randint(4, 9)
+        k = rng.randint(1, min(4, n))
+        fams.append(random_uniform_family(rng, n, k, rng.randint(1, 25)))
+        fams.append(random_intersecting_family(rng, n, k, rng.randint(1, 25)))
+    for fam in fams:
+        mt = minimal_tau2_subfamily(fam)
+        got = None if mt is None else (mt.subfamily.members, mt.pools)
+        assert got == covering_minimal_tau2(fam), fam.members
 
 
 def test_representative_pools_frozen():

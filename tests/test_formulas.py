@@ -183,7 +183,7 @@ def test_closed_forms_match_layer_sums():
         for n in range(2 * k, 2 * k + 41):
             assert size_c3(n, k) == sum_size_c3(n, k), (n, k)
     # every (n, k) point of the registered grids, the big-k ones included
-    big = {(p["n"], p["k"]) for grid, _ in GRID_CHECKS.values() if "n" in next(grid({}))
+    big = {(p["n"], p["k"]) for grid, _, _ in GRID_CHECKS.values() if "n" in next(grid({}))
            for p in grid({})}
     assert len(big) == 14
     for n, k in big:
