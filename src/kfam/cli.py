@@ -8,7 +8,9 @@ where each entry of checks carries {name, pass, lhs, rhs} so a failed
 comparison is diagnosable from the report alone.  Exit status: 0 when all
 checks pass, 1 when any check fails, 2 on usage or domain errors (among them
 ``switch`` on a family with n < 2k), 3 when an internal invariant fails,
-which is a bug.
+which is a bug.  On exit 3 the report holds
+``error: {kind: "invariant", message}`` and the options given as params, in
+place of results and checks.
 
 Every subcommand and mode is one row of ``COMMANDS``; its handler returns
 (params, results, checks), and ``run`` times it and prints the report.
@@ -437,18 +439,18 @@ def run(argv) -> int:
         return 2
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        _print_report(args.command, _given(args), t0,
+                      error={"kind": "invariant", "message": str(exc)})
         return 3
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "params": params,
-        "results": results,
-        "checks": checks,
-        "runtime_ms": int((time.perf_counter() - t0) * 1000),
-    }
+    _print_report(args.command, params, t0, results=results, checks=checks)
+    return 0 if all(c["pass"] for c in checks) else 1
+
+
+def _print_report(command: str, params: dict, t0: float, **body) -> None:
+    report = {"schema": SCHEMA, "command": command, "params": params, **body,
+              "runtime_ms": int((time.perf_counter() - t0) * 1000)}
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
-    return 0 if all(c["pass"] for c in checks) else 1
 
 
 def main() -> None:

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import combinations
-from operator import and_
+from functools import cache, reduce
+from itertools import combinations, permutations
+from operator import and_, itemgetter
 
 from .errors import DomainError, InvariantError, ScaleError
 from .families import (
     Family,
     canonical_form,
-    dedup_isomorphism_classes,
     elements_of,
     is_intersecting,
     mask_of,
@@ -134,12 +133,14 @@ def _rep_pool(members, idx: int) -> int:
 def minimal_tau2_subfamily(fam: Family) -> MinimalTau2 | None:
     """Shrink fam to a minimal subfamily of covering number 2.
 
-    Returns None when the covering number is at most 1.  Dropping one member
-    lowers the covering number by at most one, so removing members from the
-    back walks it down to exactly 2; a single in-order deletion pass then
-    reaches minimality because removability is monotone under shrinking.  In
-    that pass a nonempty subfamily has covering number 2 exactly when its
-    members share no element.
+    Returns None when the covering number is at most 1.  The covering
+    number of a prefix of the members grows with its length, one member
+    adding at most one, so the longest prefix of covering number at most 2
+    has covering number exactly 2; a binary search over the prefix length
+    finds it.  A single in-order deletion pass then reaches minimality
+    because removability is monotone under shrinking.  In that pass a
+    nonempty subfamily has covering number 2 exactly when its members share
+    no element.
     """
     result = covering_number(fam)
     if result.tau is math.inf:
@@ -148,8 +149,15 @@ def minimal_tau2_subfamily(fam: Family) -> MinimalTau2 | None:
         return None
 
     work = list(fam.members)
-    while covering_number(Family.from_masks(fam.n, work)).tau > 2:
-        work.pop()
+    if result.tau > 2:
+        lo, hi = 0, len(work)  # prefix lo has covering number <= 2, hi > 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if covering_number(Family.from_masks(fam.n, work[:mid])).tau > 2:
+                hi = mid
+            else:
+                lo = mid
+        work = work[:lo]
 
     for m in list(work):
         trial = [x for x in work if x != m]
@@ -163,73 +171,99 @@ def minimal_tau2_subfamily(fam: Family) -> MinimalTau2 | None:
     return MinimalTau2(sub, pools)
 
 
+@cache
+def _member_permutations(z: int) -> tuple:
+    """For each permutation of z members, a getter that reads a count vector
+    in permuted order.  A vector is indexed by type: type t, a nonempty
+    proper subset of the members as a bitmask, sits at index t - 1."""
+    types = range(1, (1 << z) - 1)
+    getters = []
+    for perm in permutations(range(z)):
+        image = [0] * (1 << z)
+        for t in types:
+            low = t & -t
+            image[t] = image[t ^ low] | 1 << perm[low.bit_length() - 1]
+        src = [0] * len(types)
+        for t in types:
+            src[image[t] - 1] = t - 1
+        getters.append(itemgetter(*src))
+    return tuple(getters)
+
+
+def _count_vectors(z: int, s: int, m: int) -> list[tuple[int, ...]]:
+    """Every count vector of z members with each pool type at least 1, each
+    member covered s times and at most m elements in all."""
+    full = (1 << z) - 1
+    types = range(1, full)
+    last = {i: t for t in types for i in range(z) if t >> i & 1}
+    # one element in each pool is laid down first: member i lies in the
+    # z - 1 pools of the others
+    counts = [int((full ^ t).bit_count() == 1) for t in types]
+    out = []
+
+    def rec(t: int, need: list, room: int):
+        if t == full:
+            out.append(tuple(counts))
+            return
+        holders = [i for i in range(z) if t >> i & 1]
+        # the last type holding a member must fill it
+        lo = max([0] + [need[i] for i in holders if last[i] == t])
+        hi = min([room] + [need[i] for i in holders])
+        base = counts[t - 1]
+        for x in range(lo, hi + 1):
+            counts[t - 1] = base + x
+            for i in holders:
+                need[i] -= x
+            rec(t + 1, need, room - x)
+            for i in holders:
+                need[i] += x
+        counts[t - 1] = base
+
+    rec(1, [s - z + 1] * z, m - z)  # m < z leaves no room: no vectors
+    return out
+
+
 def enumerate_minimal_tau2(m: int, s: int, intersecting_only: bool = False) -> list[Family]:
     """All minimal families of covering number 2 with s-element members over
-    [m], one canonical representative per isomorphism class.
+    [m], one canonical representative per isomorphism class, sorted by
+    (member count, members).
 
-    A family is minimal iff its members have empty total intersection while
-    every member has a nonempty representative pool (elements common to all
-    other members but missing from it).  Proper subfamilies of such a family
-    always share an element, so the search grows families that keep a common
-    element and all pools nonempty, emitting a family the moment its total
-    intersection empties out.  Branches die on their own: a set-pair count
-    caps how long all pools can stay nonempty.
+    A family of z members is minimal with covering number 2 iff its members
+    share no element while every member has a nonempty representative pool
+    (elements lying in all other members but not in it).  Number the
+    members 1..z and let c_S count the elements lying in exactly the members
+    in S.  Up to relabeling of elements the family is fixed by these counts,
+    and they obey: c_[z] = 0; c_{[z]-{i}} >= 1 for every i (the pools);
+    the sum of c_S over S containing i is s (member size); the sum of all
+    c_S is at most m (ground set).  Two families are isomorphic exactly when
+    their count vectors differ by a permutation of the member numbers, so
+    the census enumerates the vectors and keeps the least one of each
+    orbit under the z! member permutations.  Member i holds the z - 1
+    disjoint pools of the others, so z <= s + 1, and z <= 6 in range.
     """
     if not 1 <= s <= m:
         raise DomainError(f"need 1 <= s <= m, got m={m} s={s}")
     if s > 5 or m > 12:
         raise ScaleError(f"supported range is s <= 5, m <= 12, got m={m} s={s}")
 
-    all_sets = [mask_of(c) for c in combinations(range(1, m + 1), s)]
-    ground = (1 << m) - 1
-
-    # state: (members tuple, total intersection, per-member pools)
-    first = all_sets[0]
-    states = [((first,), first, (ground & ~first,))]
-    found: list[Family] = []
-
-    while states:
-        emitted = []
-        grown = []
-        for members, inter, pools in states:
-            member_set = set(members)
-            for b in all_sets:
-                if b in member_set:
-                    continue
-                new_pools = []
-                ok = True
-                for mm, pool in zip(members, pools):
-                    p = ((pool | inter) & b) & ~mm
-                    if p == 0:
-                        ok = False
-                        break
-                    new_pools.append(p)
-                if not ok:
-                    continue
-                pb = inter & ~b
-                if pb == 0:
-                    continue
-                new_inter = inter & b
-                pairs = sorted(zip(members + (b,), new_pools + [pb]))
-                new_members = tuple(p[0] for p in pairs)
-                arranged = tuple(p[1] for p in pairs)
-                if new_inter == 0:
-                    emitted.append((new_members, new_inter, arranged))
-                else:
-                    grown.append((new_members, new_inter, arranged))
-
-        for bucket, is_emit in ((emitted, True), (grown, False)):
-            fams = [Family.from_masks(m, st[0]) for st in bucket]
-            rep_ids = {id(r) for r in dedup_isomorphism_classes(fams)}
-            kept = [(st, f) for st, f in zip(bucket, fams) if id(f) in rep_ids]
-            if is_emit:
-                for _, fam in kept:
-                    if intersecting_only and not is_intersecting(fam):
-                        continue
-                    found.append(canonical_form(fam))
-            else:
-                states = [st for st, _ in kept]
-
+    found = []
+    for z in range(2, s + 2):
+        images = _member_permutations(z)
+        for vec in _count_vectors(z, s, m):
+            if any(image(vec) < vec for image in images):
+                continue
+            masks, used = [0] * z, 0
+            for t, count in enumerate(vec, 1):
+                block = ((1 << count) - 1) << used
+                used += count
+                for i in range(z):
+                    if t >> i & 1:
+                        masks[i] |= block
+            fam = Family.from_masks(m, masks)
+            if intersecting_only and not is_intersecting(fam):
+                continue
+            found.append(canonical_form(fam))
+    found.sort(key=lambda f: (len(f.members), f.members))
     return found
 
 

@@ -178,27 +178,10 @@ def restrict_contains_strip(fam: Family, y_mask: int) -> Family:
     )
 
 
-def restrict_contains_keep(fam: Family, y_mask: int) -> Family:
-    """Members containing Y, kept whole."""
-    _check_subset_mask(fam, y_mask)
-    return Family.from_masks(fam.n, (m for m in fam.members if m & y_mask == y_mask))
-
-
 def restrict_avoid(fam: Family, y_mask: int) -> Family:
     """Members disjoint from Y."""
     _check_subset_mask(fam, y_mask)
     return Family.from_masks(fam.n, (m for m in fam.members if m & y_mask == 0))
-
-
-def are_cross_intersecting(fam_a: Family, fam_b: Family) -> bool:
-    """True iff every member of one family meets every member of the other."""
-    if fam_a.n != fam_b.n:
-        raise DomainError("cross-intersection needs a common ground set")
-    for a in fam_a.members:
-        for b in fam_b.members:
-            if a & b == 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

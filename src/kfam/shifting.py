@@ -8,7 +8,7 @@ the covering number.
 from __future__ import annotations
 
 from .errors import DomainError, InvariantError
-from .families import Family, elements_of, mask_of
+from .families import Family
 
 
 def _shift_mask(mask: int, i: int, j: int) -> int:
@@ -17,17 +17,6 @@ def _shift_mask(mask: int, i: int, j: int) -> int:
     if mask & bi or not mask & bj:
         return mask
     return (mask & ~bj) | bi
-
-
-def shift_set(a, i: int, j: int):
-    """Image of a single set under the (i, j)-shift, ignoring collisions.
-
-    Returns a frozenset.  If i is already present, or j absent, the set is
-    left alone; otherwise j is swapped out for i.
-    """
-    if not (1 <= i < j):
-        raise DomainError(f"shift needs 1 <= i < j, got i={i}, j={j}")
-    return frozenset(elements_of(_shift_mask(mask_of(a), i, j)))
 
 
 def shift_family(fam: Family, i: int, j: int) -> Family:

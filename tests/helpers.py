@@ -9,7 +9,15 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from kfam.families import Family, elements_of, mask_of
+from kfam.errors import DomainError, ScaleError
+from kfam.families import (
+    Family,
+    canonical_form,
+    dedup_isomorphism_classes,
+    elements_of,
+    is_intersecting,
+    mask_of,
+)
 from kfam.formulas import binom
 
 
@@ -100,6 +108,29 @@ def brute_cnkt(n: int, k: int, t: int):
     return best, classes
 
 
+def restrict_contains_keep(fam: Family, y_mask: int) -> Family:
+    """Members containing Y, kept whole."""
+    if not 0 <= y_mask < 1 << fam.n:
+        raise DomainError(f"restriction mask {y_mask} does not fit ground [{fam.n}]")
+    return Family.from_masks(fam.n, (m for m in fam.members if m & y_mask == y_mask))
+
+
+def are_cross_intersecting(fam_a: Family, fam_b: Family) -> bool:
+    """True iff every member of one family meets every member of the other."""
+    if fam_a.n != fam_b.n:
+        raise DomainError("cross-intersection needs a common ground set")
+    return all(a & b for a in fam_a.members for b in fam_b.members)
+
+
+def shift_set(a, i: int, j: int) -> frozenset:
+    """Image of a single set under the (i, j)-shift, ignoring collisions:
+    j is swapped out for i when j is present and i is not."""
+    if not 1 <= i < j:
+        raise DomainError(f"shift needs 1 <= i < j, got i={i}, j={j}")
+    a = frozenset(a)
+    return a if i in a or j not in a else a - {j} | {i}
+
+
 def random_uniform_family(rng: random.Random, n: int, k: int, size: int) -> Family:
     pool = [mask_of(c) for c in combinations(range(1, n + 1), k)]
     size = min(size, len(pool))
@@ -167,6 +198,82 @@ def covering_minimal_tau2(fam: Family):
         for m in members
     )
     return members, pools
+
+
+# The census oracle: a level-by-level search that grows labeled families and
+# dedups every level with the isomorphism engine.  It shares no enumeration
+# with covers.enumerate_minimal_tau2, which counts Venn regions instead, and
+# returns the same classes in the order of its search.
+
+
+def bfs_minimal_tau2(m: int, s: int, intersecting_only: bool = False) -> list[Family]:
+    """All minimal families of covering number 2 with s-element members over
+    [m], one canonical representative per isomorphism class.
+
+    A family is minimal iff its members have empty total intersection while
+    every member has a nonempty representative pool (elements common to all
+    other members but missing from it).  Proper subfamilies of such a family
+    always share an element, so the search grows families that keep a common
+    element and all pools nonempty, emitting a family the moment its total
+    intersection empties out.  Branches die on their own: a set-pair count
+    caps how long all pools can stay nonempty.
+    """
+    if not 1 <= s <= m:
+        raise DomainError(f"need 1 <= s <= m, got m={m} s={s}")
+    if s > 5 or m > 12:
+        raise ScaleError(f"supported range is s <= 5, m <= 12, got m={m} s={s}")
+
+    all_sets = [mask_of(c) for c in combinations(range(1, m + 1), s)]
+    ground = (1 << m) - 1
+
+    # state: (members tuple, total intersection, per-member pools)
+    first = all_sets[0]
+    states = [((first,), first, (ground & ~first,))]
+    found: list[Family] = []
+
+    while states:
+        emitted = []
+        grown = []
+        for members, inter, pools in states:
+            member_set = set(members)
+            for b in all_sets:
+                if b in member_set:
+                    continue
+                new_pools = []
+                ok = True
+                for mm, pool in zip(members, pools):
+                    p = ((pool | inter) & b) & ~mm
+                    if p == 0:
+                        ok = False
+                        break
+                    new_pools.append(p)
+                if not ok:
+                    continue
+                pb = inter & ~b
+                if pb == 0:
+                    continue
+                new_inter = inter & b
+                pairs = sorted(zip(members + (b,), new_pools + [pb]))
+                new_members = tuple(p[0] for p in pairs)
+                arranged = tuple(p[1] for p in pairs)
+                if new_inter == 0:
+                    emitted.append((new_members, new_inter, arranged))
+                else:
+                    grown.append((new_members, new_inter, arranged))
+
+        for bucket, is_emit in ((emitted, True), (grown, False)):
+            fams = [Family.from_masks(m, st[0]) for st in bucket]
+            rep_ids = {id(r) for r in dedup_isomorphism_classes(fams)}
+            kept = [(st, f) for st, f in zip(bucket, fams) if id(f) in rep_ids]
+            if is_emit:
+                for _, fam in kept:
+                    if intersecting_only and not is_intersecting(fam):
+                        continue
+                    found.append(canonical_form(fam))
+            else:
+                states = [st for st, _ in kept]
+
+    return found
 
 
 # Layer-by-layer sums of binomials: the forms the closed-form counts in

@@ -115,6 +115,23 @@ def test_minimal_tau2_without_representative_exits_three(capsys, fixtures_dir, m
         "internal error: minimal two-cover subfamily without representatives\n")
 
 
+def test_invariant_failure_reports_json_error(capsys, fixtures_dir, monkeypatch):
+    def broken(args, fam):
+        raise InvariantError("tau drifted")
+    handler, help_, options = cli.COMMANDS[("tau",)]
+    monkeypatch.setitem(cli.COMMANDS, ("tau",), (cli._on_file(broken), help_, options))
+    path = str(fixtures_dir / "t2_k4.fam")
+    assert run(["tau", path, "--expect", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert err == "internal error: tau drifted\n"
+    report = json.loads(out)
+    assert set(report) == {"schema", "command", "params", "error", "runtime_ms"}
+    assert report["schema"] == "kfam-report/1"
+    assert report["command"] == "tau"
+    assert report["params"] == {"family": path, "expect": 2}
+    assert report["error"] == {"kind": "invariant", "message": "tau drifted"}
+
+
 def test_stats_fixture(capsys, fixtures_dir):
     code, report = _invoke(capsys, ["stats", str(fixtures_dir / "c3_n9_k4.fam")])
     assert code == 0

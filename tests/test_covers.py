@@ -8,12 +8,14 @@ member (which forces tau exactly 2).
 import math
 import random
 from itertools import combinations, permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bfs_minimal_tau2,
     brute_count_hitting,
     brute_tau,
     covering_minimal_tau2,
@@ -148,7 +150,7 @@ def test_minimal_tau2_subfamily_properties(fam):
 
 def test_minimal_tau2_subfamily_matches_the_covering_number_passes():
     rng = random.Random(7)
-    fams = [c3(n, k) for n in range(9, 13) for k in (4, 5) if n >= 2 * k]
+    fams = [c3(n, k) for n in range(7, 13) for k in (3, 4, 5) if n >= 2 * k]
     for _ in range(150):
         n = rng.randint(4, 9)
         k = rng.randint(1, min(4, n))
@@ -158,6 +160,13 @@ def test_minimal_tau2_subfamily_matches_the_covering_number_passes():
         mt = minimal_tau2_subfamily(fam)
         got = None if mt is None else (mt.subfamily.members, mt.pools)
         assert got == covering_minimal_tau2(fam), fam.members
+
+
+def test_minimal_tau2_subfamily_binary_searches_the_prefix():
+    calls = mock.Mock(side_effect=covering_number)
+    with mock.patch("kfam.covers.covering_number", calls):
+        assert minimal_tau2_subfamily(c3(14, 5)) is not None
+    assert calls.call_count <= 12  # the whole family, then a search over 544 prefixes
 
 
 def test_representative_pools_frozen():
@@ -176,6 +185,27 @@ def test_census_matches_brute_orbits(m, s, expected):
     canon_brute = {perm_canonical(Family.from_masks(m, f)) for f in brute}
     canon_impl = {perm_canonical(c) for c in classes}
     assert canon_impl == canon_brute
+
+
+_ORACLE_CASES = [(m, s) for s in range(1, 5) for m in range(s, 11)] + [(9, 5)]
+
+
+def _report_order(classes):
+    return [(len(c.members), c.members) for c in classes]
+
+
+@pytest.mark.parametrize("intersecting_only", [False, True])
+def test_census_matches_the_bfs_oracle(intersecting_only):
+    for m, s in _ORACLE_CASES:
+        got = _report_order(enumerate_minimal_tau2(m, s, intersecting_only))
+        want = _report_order(bfs_minimal_tau2(m, s, intersecting_only))
+        assert got == sorted(want), (m, s)
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_census_sorted_by_member_count_then_members(m):
+    keys = _report_order(enumerate_minimal_tau2(m, 5))
+    assert keys == sorted(set(keys))
 
 
 def test_census_none_beyond_bollobas_bound():

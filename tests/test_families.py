@@ -6,13 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_is_intersecting, perm_canonical, random_uniform_family
+from helpers import (
+    are_cross_intersecting,
+    brute_is_intersecting,
+    perm_canonical,
+    random_uniform_family,
+    restrict_contains_keep,
+)
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.errors import DomainError, ScaleError
 from kfam.families import (
     _CANONICAL_CAP,
     Family,
-    are_cross_intersecting,
     are_isomorphic,
     canonical_form,
     dedup_isomorphism_classes,
@@ -26,7 +31,6 @@ from kfam.families import (
     max_degree_element,
     popcount,
     restrict_avoid,
-    restrict_contains_keep,
     restrict_contains_strip,
 )
 

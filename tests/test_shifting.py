@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_intersecting_family, random_uniform_family
+from helpers import random_intersecting_family, random_uniform_family, shift_set
 from kfam.errors import DomainError
 from kfam.families import family, is_intersecting
-from kfam.shifting import shift_family, shift_set
+from kfam.shifting import shift_family
 
 
 def test_shift_set_definition():
