@@ -7,10 +7,8 @@ elements simply stay unused by the base sets).
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import DomainError, ScaleError
-from .families import Family, mask_of
+from .families import Family, full_mask, mask_of, subsets
 from .formulas import binom
 
 _CLOSURE_CAP = 5_000_000
@@ -28,8 +26,7 @@ def full_star(n: int, k: int) -> Family:
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got n={n} k={k}")
     _cap_through_one(n, k, "star")
-    masks = [mask_of(c) | 1 for c in combinations(range(2, n + 1), k - 1)]
-    return Family.from_masks(n, masks)
+    return Family.from_masks(n, (m | 1 for m in subsets(full_mask(n) - 1, k - 1)))
 
 
 def hilton_milner(n: int, k: int) -> Family:
@@ -39,11 +36,7 @@ def hilton_milner(n: int, k: int) -> Family:
         raise DomainError(f"need n > 2k >= 4, got n={n} k={k}")
     _cap_through_one(n, k, "Hilton-Milner family")
     block = mask_of(range(2, k + 2))
-    masks = [block]
-    for c in combinations(range(2, n + 1), k - 1):
-        m = mask_of(c) | 1
-        if m & block:
-            masks.append(m)
+    masks = [block] + [m | 1 for m in subsets(full_mask(n) - 1, k - 1, (block,))]
     return Family.from_masks(n, masks)
 
 
@@ -77,12 +70,7 @@ def cross_closure(base: Family, r: int) -> Family:
         raise DomainError(f"need 0 <= r <= n, got r={r} n={base.n}")
     if binom(base.n, r) > _CLOSURE_CAP:
         raise ScaleError(f"closure over [{base.n}] choose {r} is too large to list")
-    out = []
-    for c in combinations(range(1, base.n + 1), r):
-        m = mask_of(c)
-        if all(m & b for b in base.members):
-            out.append(m)
-    return Family.from_masks(base.n, out)
+    return Family.from_masks(base.n, subsets(full_mask(base.n), r, base.members))
 
 
 def c3(n: int, k: int) -> Family:
@@ -99,9 +87,5 @@ def c3(n: int, k: int) -> Family:
     a1 = mask_of(range(2, k + 2))
     a2 = tail | mask_of([2])
     a3 = tail | mask_of([3])
-    masks = [a1, a2, a3]
-    for c in combinations(range(2, n + 1), k - 1):
-        m = mask_of(c) | 1
-        if (m & a1) and (m & a2) and (m & a3):
-            masks.append(m)
+    masks = [a1, a2, a3] + [m | 1 for m in subsets(full_mask(n) - 1, k - 1, (a1, a2, a3))]
     return Family.from_masks(n, masks)

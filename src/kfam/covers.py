@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations, permutations
+from itertools import permutations
 from operator import and_, itemgetter
 
 from .errors import DomainError, InvariantError, ScaleError
@@ -18,8 +18,9 @@ from .families import (
     Family,
     canonical_form,
     elements_of,
+    full_mask,
     is_intersecting,
-    mask_of,
+    subsets,
 )
 from .formulas import binom
 
@@ -88,26 +89,13 @@ def covering_number(fam: Family) -> CoverResult:
     return CoverResult(best[0], best[1], nodes[0])
 
 
-def tau(fam: Family) -> float:
-    return covering_number(fam).tau
-
-
 def count_hitting_sets(fam: Family, t: int) -> int:
     """Number of t-subsets of the ground set meeting every member."""
     if not (0 <= t <= fam.n):
         raise DomainError(f"need 0 <= t <= n, got t={t} n={fam.n}")
     if binom(fam.n, t) > _HITCOUNT_CAP:
         raise ScaleError(f"[{fam.n}] choose {t} exceeds the hit-count cap")
-    if not fam.members:
-        return binom(fam.n, t)
-    if 0 in fam.member_set:
-        return 0
-    count = 0
-    for c in combinations(range(1, fam.n + 1), t):
-        m = mask_of(c)
-        if all(m & b for b in fam.members):
-            count += 1
-    return count
+    return sum(1 for _ in subsets(full_mask(fam.n), t, fam.members))
 
 
 @dataclass(frozen=True)

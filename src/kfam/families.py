@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 from .errors import DomainError, ScaleError
 
@@ -46,6 +47,20 @@ def popcount(mask: int) -> int:
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
+
+
+def subsets(ground: int, r: int, meets=()):
+    """Yield the mask of each r-subset of the mask ground that meets every
+    mask in meets, in itertools.combinations order of ground's ascending
+    elements."""
+    bits = [1 << (e - 1) for e in elements_of(ground)]
+    for c in combinations(bits, r):
+        m = sum(c)
+        for b in meets:
+            if not m & b:
+                break
+        else:
+            yield m
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,11 @@ from .families import (
     canonical_form,
     dedup_isomorphism_classes,
     elements_of,
+    full_mask,
     is_intersecting,
     mask_of,
     popcount,
+    subsets,
 )
 from .shifting import shift_family
 
@@ -84,7 +86,7 @@ def max_intersecting_tau(
     if comb(n, k) > SEARCH_VERTEX_CAP:
         raise ScaleError(f"C({n},{k}) = {comb(n, k)} exceeds the search cap {SEARCH_VERTEX_CAP}")
 
-    masks = [mask_of(c) for c in combinations(range(1, n + 1), k)]
+    masks = list(subsets(full_mask(n), k))
     if rng is not None:
         rng.shuffle(masks)
     nv = len(masks)
@@ -198,8 +200,7 @@ def saturate(fam: Family) -> Family:
         raise DomainError("saturate expects an intersecting family")
     current = list(fam.members)
     have = set(current)
-    for c in combinations(range(1, fam.n + 1), k):
-        m = mask_of(c)
+    for m in subsets(full_mask(fam.n), k):
         if m in have:
             continue
         if all(m & o for o in current):

@@ -29,23 +29,10 @@ from .families import (
     max_degree_element,
     popcount,
     restrict_avoid,
+    subsets,
 )
 from .formulas import binom
 from .shifting import shift_family
-
-STAGE_PER_ELEMENT = "per-element"
-STAGE_TRANSVERSAL = "transversal"
-STAGE_EXTENDED = "extended"
-
-
-@dataclass
-class SwitchContext:
-    pivot: int
-    core: Family  # minimal two-cover subfamily of the pivot-avoiding part
-    reps: tuple  # per-core-member representative pools (element tuples)
-    stage: str = STAGE_PER_ELEMENT
-    locked: int = 0  # mask of representatives fixed so far / the locked union
-    i_prime: int | None = None
 
 
 @dataclass
@@ -60,31 +47,32 @@ class PipelineResult:
         return self.status == "converged"
 
 
-def exchange_Gi(fam: Family, ctx: SwitchContext, i: int, m) -> Family:
-    """Per-element exchange at representative i for core member m.
+def exchange_Gi(fam: Family, pivot: int, core: Family, locked: int, i: int, m: int) -> Family:
+    """Per-element exchange at representative i for the core member mask m.
 
-    Removes every pivot-avoiding set that contains all locked representatives
-    but misses i (m among them), together with the pivot-sets whose trace on
-    locked+{i} is exactly {i}; adds back m and the full layer of k-sets
-    {pivot, i} + T with T outside locked and meeting m.  Requires the
-    small-diversity hypothesis; size never drops and intersection survives.
+    core is the minimal two-cover subfamily of the pivot-avoiding sets and
+    locked the mask of representatives fixed so far.  Removes every
+    pivot-avoiding set that contains all locked representatives but misses
+    i (m among them), together with the pivot-sets whose trace on locked+{i}
+    is exactly {i}; adds back m and the full layer of k-sets {pivot, i} + T
+    with T outside locked and meeting m.  Requires the small-diversity
+    hypothesis; size never drops and intersection survives.
     """
     n = fam.n
     k = fam.uniform_k
     if k is None or k < 3:
         raise DomainError("exchange needs a uniform family with k >= 3")
-    pivot_bit = 1 << (ctx.pivot - 1)
+    pivot_bit = 1 << (pivot - 1)
     rep_bit = 1 << (i - 1)
-    m_mask = m if isinstance(m, int) else mask_of(m)
-    if m_mask not in ctx.core.member_set:
+    if m not in core.member_set:
         raise DomainError("m must be a core member")
-    if m_mask not in fam.member_set:
+    if m not in fam.member_set:
         raise DomainError("core member missing from the family")
-    if m_mask & (pivot_bit | rep_bit):
+    if m & (pivot_bit | rep_bit):
         raise DomainError("core member must avoid the pivot and the representative")
-    if ctx.locked & ~m_mask:
+    if locked & ~m:
         raise DomainError("locked representatives must lie inside the core member")
-    if ctx.locked & (rep_bit | pivot_bit):
+    if locked & (rep_bit | pivot_bit):
         raise DomainError("representative or pivot already locked")
 
     avoid = [s for s in fam.members if not s & pivot_bit]
@@ -93,25 +81,22 @@ def exchange_Gi(fam: Family, ctx: SwitchContext, i: int, m) -> Family:
         raise ExchangeError(
             f"diversity-hypothesis: |F(pivot-bar)| = {len(avoid)} > C({n - 5},{k - 3}) = {bound}"
         )
-    want = ctx.locked
-    b_side = {s for s in avoid if s & want == want and not s & rep_bit}
+    b_side = {s for s in avoid if s & locked == locked and not s & rep_bit}
     removed = {
         s
         for s in fam.members
-        if s & pivot_bit and (s & ~pivot_bit) & (want | rep_bit) == rep_bit
+        if s & pivot_bit and (s & ~pivot_bit) & (locked | rep_bit) == rep_bit
     }
-    avail = full_mask(n) & ~(pivot_bit | rep_bit | want)
-    layer = [m_mask]  # m comes back along with its layer
-    for t in combinations(elements_of(avail), k - 2):
-        tm = mask_of(t)
-        if tm & m_mask:
-            layer.append(pivot_bit | rep_bit | tm)
+    avail = full_mask(n) & ~(pivot_bit | rep_bit | locked)
+    # m comes back along with its layer
+    layer = [m] + [pivot_bit | rep_bit | t for t in subsets(avail, k - 2, (m,))]
     return _apply_exchange(fam, b_side, removed, layer, "exchange",
                            " despite the diversity hypothesis")
 
 
-def exchange_transversal(fam: Family, ctx: SwitchContext, i_set) -> Family:
-    """Transversal exchange at the hitting set I.
+def exchange_transversal(fam: Family, pivot: int, core: Family, locked: int,
+                         i_mask: int) -> Family:
+    """Transversal exchange at the hitting set mask I.
 
     Deletes the stray pivot-avoiding sets that contain the locked elements
     and miss I, adds every k-set {pivot} + I + T with T from the leftover
@@ -122,20 +107,13 @@ def exchange_transversal(fam: Family, ctx: SwitchContext, i_set) -> Family:
     k = fam.uniform_k
     if k is None or k < 3:
         raise DomainError("exchange needs a uniform family with k >= 3")
-    pivot_bit = 1 << (ctx.pivot - 1)
-    i_mask = i_set if isinstance(i_set, int) else mask_of(i_set)
-    locked = ctx.locked
+    pivot_bit = 1 << (pivot - 1)
     if i_mask == 0:
         raise DomainError("I must be nonempty")
     if i_mask & (locked | pivot_bit):
         raise DomainError("I must avoid the pivot and the locked elements")
     isz = popcount(i_mask)
-    limit, need = _stage_rule(ctx)
-    if isz > limit:
-        raise DomainError(f"|I| = {isz} exceeds the stage limit {limit}")
-    if i_mask & need != need:
-        raise DomainError("this stage requires i' to lie in I")
-    for cm in ctx.core.members:
+    for cm in core.members:
         if not i_mask & (cm & ~locked):
             raise DomainError("I misses a stripped core member")
     if popcount(locked) < isz + 1:
@@ -149,7 +127,7 @@ def exchange_transversal(fam: Family, ctx: SwitchContext, i_set) -> Family:
     b_side = {
         s for s in fam.members if not s & pivot_bit and s & locked == locked and not s & i_mask
     }
-    if b_side & set(ctx.core.members):
+    if b_side & core.member_set:
         raise InvariantError("a core member matched the stray-set pattern")
     y_mask = full_mask(n) & ~(pivot_bit | locked | i_mask)
     y = popcount(y_mask)
@@ -169,16 +147,8 @@ def exchange_transversal(fam: Family, ctx: SwitchContext, i_set) -> Family:
         for s in fam.members
         if s & pivot_bit and s & i_mask == i_mask and not s & locked
     }
-    layer = [pivot_bit | i_mask | mask_of(t) for t in combinations(elements_of(y_mask), a)]
+    layer = [pivot_bit | i_mask | t for t in subsets(y_mask, a)]
     return _apply_exchange(fam, b_side, removed, layer, "transversal exchange")
-
-
-def _stage_rule(ctx: SwitchContext) -> tuple[int, int]:
-    """The largest |I| the context's stage admits, and the mask I must contain."""
-    z = len(ctx.core)
-    if ctx.stage == STAGE_TRANSVERSAL:
-        return z - 1, 0 if ctx.i_prime is None else 1 << (ctx.i_prime - 1)
-    return z, 0
 
 
 def _apply_exchange(fam: Family, stray: set, removed: set, layer: list,
@@ -196,23 +166,27 @@ def _apply_exchange(fam: Family, stray: set, removed: set, layer: list,
     return result
 
 
-def _run_stage(f: Family, ctx: SwitchContext, stage: str, locked: int, log: list, passes: int):
+def _run_stage(f: Family, pivot: int, core: Family, stage: str, locked: int,
+               i_prime: int, log: list, passes: int):
     """One transversal-type stage: with `locked` fixed, exchange at every I the
-    stage admits that meets each stripped core member, smallest first.  Yields
-    each new family, so a caller stopped by a refusal keeps the last one."""
-    ctx.stage = stage
-    ctx.locked = locked
-    limit, need = _stage_rule(ctx)
-    stripped = [cm & ~locked for cm in ctx.core.members]
-    allowed = full_mask(f.n) & ~((1 << (ctx.pivot - 1)) | locked)
+    stage admits that meets each stripped core member, smallest first.  With
+    z core members the transversal stage admits |I| <= z - 1 with i' in I,
+    the extended stage |I| <= z.  Yields each new family, so a caller stopped
+    by a refusal keeps the last one."""
+    z = len(core)
+    if stage == "transversal":
+        limit, need = z - 1, 1 << (i_prime - 1)
+    else:
+        limit, need = z, 0
+    stripped = [cm & ~locked for cm in core.members]
+    allowed = full_mask(f.n) & ~((1 << (pivot - 1)) | locked)
     for isz in range(1, min(limit, f.uniform_k - 1) + 1):
-        for combo in combinations(elements_of(allowed), isz):
-            im = mask_of(combo)
-            if im & need != need or any(not im & st for st in stripped):
+        for im in subsets(allowed, isz, stripped):
+            if im & need != need:
                 continue
             before = len(f)
-            f = exchange_transversal(f, ctx, im)
-            log.append(_entry(passes, stage, {"I": list(combo)}, before, f))
+            f = exchange_transversal(f, pivot, core, locked, im)
+            log.append(_entry(passes, stage, {"I": list(elements_of(im))}, before, f))
             yield f
 
 
@@ -276,16 +250,14 @@ def switch_pipeline(fam: Family) -> PipelineResult:
             return PipelineResult(f, "aborted:pass-cap", log, passes)
 
         try:
-            ctx = SwitchContext(pivot=pivot, core=core, reps=pools)
             for tup in product(*pools):
-                ctx.locked = 0
-                ctx.stage = STAGE_PER_ELEMENT
+                locked = 0
                 for rep, member in zip(tup, core.members):
                     before = len(f)
-                    f = exchange_Gi(f, ctx, rep, member)
+                    f = exchange_Gi(f, pivot, core, locked, rep, member)
                     move = {"rep": rep, "member": list(elements_of(member))}
-                    log.append(_entry(passes, STAGE_PER_ELEMENT, move, before, f))
-                    ctx.locked |= 1 << (rep - 1)
+                    log.append(_entry(passes, "per-element", move, before, f))
+                    locked |= 1 << (rep - 1)
 
             iprime_union = mask_of(e for pool in pools for e in pool)
             core_set = set(core.members)
@@ -323,8 +295,7 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                     return PipelineResult(f, "aborted:shift-stuck", log, passes)
                 continue
 
-            ctx.i_prime = iprime
-            for f in _run_stage(f, ctx, STAGE_TRANSVERSAL, iprime_union, log, passes):
+            for f in _run_stage(f, pivot, core, "transversal", iprime_union, iprime, log, passes):
                 pass
             u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
             if not u_sets:
@@ -336,7 +307,7 @@ def switch_pipeline(fam: Family) -> PipelineResult:
             locked2 = iprime_union | ib
             if any(cm & ~locked2 == 0 for cm in core.members):
                 raise InvariantError("extended stage reached with a fully locked core member")
-            for f in _run_stage(f, ctx, STAGE_EXTENDED, locked2, log, passes):
+            for f in _run_stage(f, pivot, core, "extended", locked2, iprime, log, passes):
                 pass
             u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
             if u_sets:

@@ -30,7 +30,6 @@ from kfam.covers import (
     enumerate_minimal_tau2,
     minimal_tau2_subfamily,
     representative_pools,
-    tau,
 )
 from kfam.errors import DomainError
 from kfam.families import Family, family, is_intersecting, mask_of
@@ -96,12 +95,12 @@ def test_covering_number_matches_brute(seed, n, k, size):
 
 def test_tau_frozen_values():
     for k in (3, 4, 5, 6):
-        assert tau(t2(k)) == 2
+        assert covering_number(t2(k)).tau == 2
     for n, k in [(7, 3), (9, 4), (10, 4), (12, 5)]:
-        assert tau(c3(n, k)) == 3
-    assert tau(full_star(8, 3)) == 1
-    assert tau(family(5, [])) == 0
-    assert tau(family(5, [set()])) == math.inf
+        assert covering_number(c3(n, k)).tau == 3
+    assert covering_number(full_star(8, 3)).tau == 1
+    assert covering_number(family(5, [])).tau == 0
+    assert covering_number(family(5, [set()])).tau == math.inf
     assert covering_number(family(5, [set()])).witness_cover is None
 
 

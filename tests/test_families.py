@@ -32,6 +32,7 @@ from kfam.families import (
     popcount,
     restrict_avoid,
     restrict_contains_strip,
+    subsets,
 )
 
 
@@ -43,6 +44,28 @@ def test_mask_elements_round_trip(s):
 @given(st.integers(0, 2**24 - 1))
 def test_popcount_matches_bit_count(m):
     assert popcount(m) == bin(m).count("1")
+
+
+@pytest.mark.parametrize(
+    "ground", [0, 0b1, mask_of([2, 3, 5, 8]), mask_of([1, 3, 4, 9, 12]), mask_of(range(1, 8))]
+)
+def test_subsets_matches_filtered_combinations(ground):
+    es = elements_of(ground)
+    rng = random.Random(ground)
+    meets_cases = [
+        (),
+        (0,),
+        (mask_of([13, 14]),),  # disjoint from the ground
+        (ground,),
+        (mask_of(es[:2]), mask_of(es[-3:])),
+        tuple(rng.randrange(1 << 14) for _ in range(3)),
+    ]
+    for meets in meets_cases:
+        for r in range(len(es) + 2):
+            brute = [
+                m for m in map(mask_of, combinations(es, r)) if all(m & b for b in meets)
+            ]
+            assert list(subsets(ground, r, meets)) == brute, (ground, r, meets)
 
 
 def test_family_dedup_and_order():

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import brute_cnkt, perm_canonical, random_intersecting_family
 from kfam.constructions import c3, full_star, t2, t2prime
-from kfam.covers import covering_number, tau
+from kfam.covers import covering_number
 from kfam.errors import DomainError, ScaleError
 from kfam.families import are_isomorphic, canonical_form, is_intersecting
 from kfam.formulas import ekr_bound, f_of_z, hm_size, thm1_bound
@@ -38,7 +38,7 @@ def test_cnkt_t3_value_and_witnesses():
     for w in res.witnesses:
         assert is_intersecting(w)
         assert len(w) == 10
-        assert tau(w) >= 3
+        assert covering_number(w).tau >= 3
     # witnesses are pairwise non-isomorphic canonical forms
     for i, a in enumerate(res.witnesses):
         assert canonical_form(a) == a

@@ -16,7 +16,7 @@ from kfam.families import (
 )
 from kfam.fileio import load_family
 from kfam.formulas import binom
-from kfam.switching import SwitchContext, exchange_Gi, switch_pipeline
+from kfam.switching import exchange_Gi, switch_pipeline
 
 DOCUMENTED_ABORTS = {
     "pass-cap",
@@ -97,10 +97,10 @@ def test_refusal_mid_stage_keeps_the_last_family(fixtures_dir, monkeypatch):
     real = switching.exchange_transversal
     done = []
 
-    def refuse_after_a_change(f, ctx, i_set):
+    def refuse_after_a_change(f, pivot, core, locked, i_mask):
         if any(out != before for before, out in done):
             raise ExchangeError("corollary-hypothesis: refused by the test")
-        done.append((f, real(f, ctx, i_set)))
+        done.append((f, real(f, pivot, core, locked, i_mask)))
         return done[-1][1]
 
     monkeypatch.setattr(switching, "exchange_transversal", refuse_after_a_change)
@@ -117,35 +117,33 @@ def test_pipeline_rejects_k3_diversity():
         switch_pipeline(c3(9, 3))
 
 
-def _gi_context(fam, pivot=1):
+def _gi_core(fam, pivot=1):
+    """The core at the pivot and the first representative of its first member."""
     avoid = restrict_avoid(fam, mask_of([pivot]))
-    mt = minimal_tau2_subfamily(avoid)
-    core = mt.subfamily
-    return SwitchContext(pivot=pivot, core=core, reps=representative_pools(core))
+    core = minimal_tau2_subfamily(avoid).subfamily
+    return core, representative_pools(core)[0][0]
 
 
 def test_exchange_gi_postconditions():
     fam = _stray_instance()
-    ctx = _gi_context(fam)
-    rep = ctx.reps[0][0]
-    member = ctx.core.members[0]
-    out = exchange_Gi(fam, ctx, rep, member)
+    core, rep = _gi_core(fam)
+    member = core.members[0]
+    out = exchange_Gi(fam, 1, core, 0, rep, member)
     assert len(out) >= len(fam)
     assert is_intersecting(out)
     rep_bit = 1 << (rep - 1)
-    core_set = set(ctx.core.members)
+    core_set = set(core.members)
     for s in restrict_avoid(out, mask_of([1])).members:
         assert s in core_set or s & rep_bit
 
 
 def test_exchange_gi_rejects_bad_member():
     fam = _stray_instance()
-    ctx = _gi_context(fam)
-    rep = ctx.reps[0][0]
+    core, rep = _gi_core(fam)
     with pytest.raises(DomainError):
-        exchange_Gi(fam, ctx, rep, mask_of([1, 2, 3, 4]))  # contains the pivot
+        exchange_Gi(fam, 1, core, 0, rep, mask_of([1, 2, 3, 4]))  # contains the pivot
     with pytest.raises(DomainError):
-        exchange_Gi(fam, ctx, rep, mask_of([2, 3, 6, 7]))  # not a core member
+        exchange_Gi(fam, 1, core, 0, rep, mask_of([2, 3, 6, 7]))  # not a core member
 
 
 def _fat_diversity_instance():
@@ -159,11 +157,9 @@ def _fat_diversity_instance():
 def test_exchange_gi_diversity_hypothesis_refusal():
     fam = _fat_diversity_instance()
     assert len(restrict_avoid(fam, mask_of([1]))) == 5  # cap is C(4,1) = 4
-    ctx = _gi_context(fam)
-    rep = ctx.reps[0][0]
-    member = ctx.core.members[0]
+    core, rep = _gi_core(fam)
     with pytest.raises(ExchangeError, match="diversity-hypothesis"):
-        exchange_Gi(fam, ctx, rep, member)
+        exchange_Gi(fam, 1, core, 0, rep, core.members[0])
 
 
 def test_pipeline_rejects_fat_diversity_at_entry():
@@ -201,11 +197,55 @@ def _random_admissible(rng: random.Random) -> Family:
             return cand
 
 
-def test_pipeline_random_admissible_instances():
+def _run_checking_stage_rule(fam, monkeypatch):
+    """Run the pipeline and check every transversal-type I in the trace
+    against its pass's core, re-derived from the pivot-avoiding part the
+    pass started from: with z core members, a transversal-stage I has at most
+    z - 1 elements and contains the pass's i', an extended-stage I at most z.
+    Returns the pipeline's result and the number of I checked."""
+    avoids = []
+    real = switching.minimal_tau2_subfamily
+
+    def spy(avoid):
+        avoids.append(avoid)
+        return real(avoid)
+
+    monkeypatch.setattr(switching, "minimal_tau2_subfamily", spy)
+    res = switch_pipeline(fam)
+    monkeypatch.undo()
+    # the z pools are nonempty and disjoint, so within the limits |I| + 1 never
+    # exceeds the locked count; a refused I past a limit leaves no trace entry
+    assert res.status != "aborted:uniformity"
+    checked = 0
+    for entry in res.trace:
+        if entry["stage"] not in ("transversal", "extended"):
+            continue
+        core = minimal_tau2_subfamily(avoids[entry["pass"] - 1]).subfamily
+        z = len(core)
+        union = mask_of(e for pool in representative_pools(core) for e in pool)
+        stripped = [cm & ~union for cm in core.members]
+        i_prime = min(x for x in range(1, fam.n + 1)
+                      if sum(st >> (x - 1) & 1 for st in stripped) >= 2)
+        if entry["stage"] == "transversal":
+            assert len(entry["I"]) <= z - 1 and i_prime in entry["I"], entry
+        else:
+            assert len(entry["I"]) <= z, entry
+        checked += 1
+    return res, checked
+
+
+def test_stage_rule_holds_by_construction(fixtures_dir, monkeypatch):
+    names = ["switch_abort_changed_n11_k5", "switch_abort_n10_k5",
+             "switch_shift_n12_k4", "switch_transversal_n11_k5"]
+    fams = [load_family(fixtures_dir / f"{name}.fam") for name in names]
+    assert sum(_run_checking_stage_rule(fam, monkeypatch)[1] for fam in fams) > 0
+
+
+def test_pipeline_random_admissible_instances(monkeypatch):
     rng = random.Random(23)
     for _ in range(12):
         fam = _random_admissible(rng)
-        res = switch_pipeline(fam)
+        res, _ = _run_checking_stage_rule(fam, monkeypatch)
         assert _status_ok(res.status), res.status
         assert len(res.family) >= len(fam)
         if res.converged:
