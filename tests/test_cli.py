@@ -316,3 +316,72 @@ def test_reports_deterministic(capsys):
     _, b = _invoke(capsys, ["construct", "t2", "--k", "4", "--canonical"])
     a.pop("runtime_ms"), b.pop("runtime_ms")
     assert a == b
+
+
+def _report(capsys, argv):
+    code, report = _invoke(capsys, argv)
+    report.pop("runtime_ms")
+    return code, report
+
+
+def _alone(argv):
+    """The exit status and report, without runtime_ms, of argv run alone in
+    a new process."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", "from kfam.cli import main; main()", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    report = json.loads(proc.stdout)
+    report.pop("runtime_ms")
+    return proc.returncode, report
+
+
+def test_parser_built_once_across_every_command(capsys, tmp_path):
+    t2, c9 = str(FIXTURES / "t2_k4.fam"), str(FIXTURES / "c3_n9_k4.fam")
+    calls = [
+        ["construct", "t2", "--k", "3", "-o", str(tmp_path / "t2.fam")],
+        ["stats", t2],
+        ["tau", t2, "--expect", "2"],
+        ["hitcount", t2, "--t", "2"],
+        ["minimal-tau2", t2],
+        ["shift", t2, "--i", "1", "--j", "2"],
+        ["switch", str(FIXTURES / "c3_n10_k4.fam")],
+        ["peel", c9],
+        ["spread", t2, "--r", "1"],
+        ["verify", "formula", "--name", "c3", "--n", "9", "--k", "4"],
+        ["verify", "grid", "--name", "final-compare"],
+        ["search", "cnkt", "--n", "6", "--k", "3", "--t", "3"],
+        ["search", "lemmin", "--m", "9", "--s", "3", "--k", "4"],
+    ]
+    rows = {words for words, (handler, _, _) in cli.COMMANDS.items() if handler is not None}
+    assert {tuple(argv[:2]) if argv[0] in ("verify", "search") else (argv[0],)
+            for argv in calls} == rows
+    cli._build_parser.cache_clear()
+    for argv in calls:
+        code, report = _invoke(capsys, argv)
+        assert code == 0, argv
+        assert report["command"] == argv[0]
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["construct", "c3", "--n", "9", "--k", "4"], "--canonical"),
+    (["verify", "grid", "--name", "final-compare"], "--full"),
+])
+def test_options_do_not_leak_between_calls(capsys, argv, flag):
+    with_flag = argv + [flag]
+    alone = {tuple(a): _alone(a) for a in (with_flag, argv)}
+    assert alone[tuple(with_flag)] != alone[tuple(argv)]
+    for a in (with_flag, argv, with_flag):
+        assert _report(capsys, a) == alone[tuple(a)]
+
+
+def test_help_usage_errors_and_other_commands_leave_the_next_report_unchanged(capsys):
+    argv = ["construct", "c3", "--n", "9", "--k", "4"]
+    alone = _alone(argv)
+    for before, code in ((["--help"], 0), (["verify", "grid", "--help"], 0),
+                         (["construct", "c3", "--n", "x"], 2), (["tau"], 2),
+                         (["verify", "grid", "--name", "final-compare", "--full"], 0)):
+        assert run(before) == code
+        capsys.readouterr()
+        assert _report(capsys, argv) == alone
