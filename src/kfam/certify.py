@@ -10,11 +10,13 @@ and names the first hypothesis it misses.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError
-from .formulas import binom, f_of_z, fprime3, size_c3, thm1_bound
+from .formulas import binom, f_of_z, f_values, fprime3, size_c3, thm1_bound
 
 # e in [2718281828, 2718281829] / 10^9; sqrt(e) likewise.
 E_LO = Fraction(2_718_281_828, 10**9)
@@ -84,10 +86,16 @@ def _g(n: int, k: int, i: int) -> int:
 # (lhs, rhs, passed); lhs/rhs hold the compared integer tuples so a failure
 # is diagnosable from the report alone
 
+@lru_cache(maxsize=1)
+def _f_mono_line(k: int, s: int, m: int) -> tuple:
+    """f(2..s+1) and the step C(m-s-2, k-3) on a (k, s, m) line, which z walks innermost."""
+    return tuple(f_values(m, s, k, range(2, s + 2))), binom(m - s - 2, k - 3)
+
+
 def _check_f_mono(p: dict) -> tuple:
     k, s, m, z = p["k"], p["s"], p["m"], p["z"]
-    diff = f_of_z(m, s, k, z - 1) - f_of_z(m, s, k, z)
-    step = binom(m - s - 2, k - 3)
+    f, step = _f_mono_line(k, s, m)
+    diff = f[z - 3] - f[z - 2]
     return (diff, step), (step, 1), diff >= step and step > 1
 
 
@@ -215,9 +223,10 @@ ACCEPTANCE_GRIDS = ("f-mono", "g-ratio", "two-g5", "eqc3large", "eqboundf")
 def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> GridReport:
     """Evaluate one registered inequality point by point over its (possibly
     overridden) parameter grid.  ranges maps dimension names to explicit
-    value lists.  A point that misses a hypothesis is skipped with the reason
-    of the first it misses.  The report counts every point and keeps those
-    that did not pass, or every point when full is set."""
+    value lists, each value listed once.  A point that misses a hypothesis
+    is skipped with the reason of the first it misses.  The report counts
+    every point and keeps those that did not pass, or every point when full
+    is set."""
     if name not in GRID_CHECKS:
         raise KeyError(f"unknown inequality id: {name}; known: {sorted(GRID_CHECKS)}")
     grid, hypotheses, compare = GRID_CHECKS[name]
@@ -227,6 +236,9 @@ def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> G
     if unknown:
         raise DomainError(f"grid {name} has no dimension {', '.join(unknown)};"
                           f" its dimensions are {', '.join(dims)}")
+    twice = [f"{dim}={v}" for dim, vs in ranges.items() for v, c in Counter(vs).items() if c > 1]
+    if twice:
+        raise DomainError(f"grid {name} lists {twice[0]} more than once in its ranges")
     total = checked = passes = 0
     points = []
     for params in grid(ranges):

@@ -70,18 +70,26 @@ def size_f2prime(m: int, s: int, k: int) -> int:
     return binom(m, k - 1) - 2 * binom(m - s, k - 1) + binom(m - 2 * s, k - 1)
 
 
-def f_of_z(m: int, s: int, k: int, z: int) -> int:
-    """Maximum weight profile for a z-member minimal two-cover paired with
-    its cross-meeting (k-1)-sets; defined for 2 <= z <= s+1.
-
-    At z=2 this equals size_f2prime(m, s, k).
-    """
-    if not (2 <= z <= s + 1):
-        raise DomainError(f"need 2 <= z <= s+1, got z={z} s={s}")
+def f_values(m: int, s: int, k: int, zs) -> list:
+    """Maximum weight profile f(z) of a z-member minimal two-cover paired
+    with its cross-meeting (k-1)-sets, for each z (2 <= z <= s+1) of the
+    sequence zs; the z-free terms are computed once.  f(2) = size_f2prime."""
+    for z in zs:
+        if not (2 <= z <= s + 1):
+            raise DomainError(f"need 2 <= z <= s+1, got z={z} s={s}")
     if not (m >= 2 * s and k >= 2):
         raise DomainError(f"need m >= 2s and k >= 2, got m={m} s={s} k={k}")
-    return (binom(m, k - 1) - binom(m - s, k - 1) - binom(m - s - 1, k - 1)
-            + binom(m - 2 * s + z - 2, k - 1) - (z - 1) * binom(m - s - 1, k - 2))
+    base = binom(m, k - 1) - binom(m - s, k - 1) - binom(m - s - 1, k - 1)
+    slope = binom(m - s - 1, k - 2)
+    values = []
+    for z in zs:  # a loop, not a comprehension: no extra frame per call on 3.11
+        values.append(base + binom(m - 2 * s + z - 2, k - 1) - (z - 1) * slope)
+    return values
+
+
+def f_of_z(m: int, s: int, k: int, z: int) -> int:
+    """f(z) at one z: f_values(m, s, k, (z,))[0]."""
+    return f_values(m, s, k, (z,))[0]
 
 
 def fprime3(m: int, s: int, k: int) -> int:

@@ -88,6 +88,26 @@ def test_f_mono_point_values():
     assert pt.passed
 
 
+def test_f_mono_lines_match_pointwise_reference_in_any_order():
+    # out-of-order ranges with skipped points (s > k, m < k+s, z > s+1),
+    # then every point again as its own one-point grid in reverse order
+    ranges = {"k": [9, 5], "s": [4, 9, 2], "m": [30, 12, 20, 21], "z": [6, 3, 4]}
+    report = certify_grid("f-mono", ranges=ranges, full=True)
+    one_point = [certify_grid("f-mono", {d: [v] for d, v in p.params.items()}, full=True)
+                 .points[0] for p in reversed(report.points)]
+    assert report.total == len(report.points) == 2 * 3 * 4 * 3
+    assert 0 < report.checked < report.total
+    for p in report.points + one_point[::-1]:
+        k, s, m, z = (p.params[d] for d in "ksmz")
+        if p.skipped:
+            assert not (k >= 4 and 2 <= s <= k and m >= k + s and 3 <= z <= s + 1)
+            continue
+        diff = f_of_z(m, s, k, z - 1) - f_of_z(m, s, k, z)
+        step = binom(m - s - 2, k - 3)
+        assert (p.lhs, p.rhs, p.passed) == ((diff, step), (step, 1), diff >= step > 1), p.params
+    assert [p.params for p in report.points] == [p.params for p in one_point[::-1]]
+
+
 def test_out_of_hypothesis_points_skipped_with_reason():
     report = certify_grid("f3-fprime3", ranges={"k": [4], "s": [2, 3, 4], "m": [8]}, full=True)
     reasons = {p.params["s"]: p.skipped for p in report.points}

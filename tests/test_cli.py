@@ -85,6 +85,11 @@ def test_usage_and_domain_errors_exit_two(capsys, tmp_path, fixtures_dir, monkey
     assert run(["verify", "grid", "--name", "f-mono", "--ranges", '{"q": [4]}']) == 2
     assert capsys.readouterr().err == (
         "error: grid f-mono has no dimension q; its dimensions are k, s, m, z\n")
+    # a repeated value would count one point twice
+    assert run(["verify", "grid", "--name", "f-mono", "--ranges",
+                '{"k": [4], "s": [3], "m": [9], "z": [3, 3]}']) == 2
+    assert capsys.readouterr().err == (
+        "error: grid f-mono lists z=3 more than once in its ranges\n")
     for ratio in ("abc", "1/0"):
         assert run(["spread", str(fixtures_dir / "t2_k4.fam"), "--r", ratio]) == 2
         assert capsys.readouterr().err.startswith("error: --r must be a ratio")

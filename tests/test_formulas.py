@@ -20,6 +20,7 @@ from kfam.formulas import (
     binom,
     ekr_bound,
     f_of_z,
+    f_values,
     fprime3,
     hm_size,
     kz_bound,
@@ -177,6 +178,8 @@ def test_closed_forms_match_layer_sums():
                 assert size_f2prime(m, s, k) == sum_size_f2prime(m, s, k), (m, s, k)
                 for z in range(2, s + 2):
                     assert f_of_z(m, s, k, z) == sum_f_of_z(m, s, k, z), (m, s, k, z)
+                assert f_values(m, s, k, range(2, s + 2)) == [
+                    sum_f_of_z(m, s, k, z) for z in range(2, s + 2)], (m, s, k)
                 if s >= 4:
                     assert fprime3(m, s, k) == sum_fprime3(m, s, k), (m, s, k)
     for k in range(3, 41):
