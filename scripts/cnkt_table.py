@@ -5,7 +5,8 @@ t = 1, 2 and the three-base construction at t = 3.
 
 Usage: python3 scripts/cnkt_table.py [--nmax 9] [--k 3] [--tmax 3] [--classes]
 
-Small n only; the oracle is an exact branch and bound.  --classes also counts
+Rows run from n = 2k+1 to --nmax; a --nmax below 2k+1 exits 2.  Small n
+only; the oracle is an exact branch and bound.  --classes also counts
 optimal isomorphism classes (slower).  Exits 1 if c(n,k,t) rises with t
 at some n, or misses its reference: c(n,k,1) must equal C(n-1,k-1),
 c(n,k,2) the Hilton-Milner size and c(n,k,3) must reach the three-base
@@ -28,6 +29,10 @@ def main():
     args = ap.parse_args()
 
     k = args.k
+    if not 1 <= args.tmax <= k:
+        ap.error(f"need 1 <= --tmax <= k, got --tmax = {args.tmax}, k = {k}")
+    if args.nmax < 2 * k + 1:
+        ap.error(f"--nmax must be at least 2k+1 = {2 * k + 1}")
     head = f"{'n':>4} {'t':>3} {'c(n,k,t)':>9} {'reference':>10} {'time':>8}"
     if args.classes:
         head += f" {'#classes':>9}"

@@ -2,17 +2,22 @@
 
 c(n,k,t), the largest size of an intersecting k-uniform family over [n]
 with covering number >= t, is computed by exact search.  Since the
-covering number never drops when members are added, every optimum is
-attained by a saturated (maximal) intersecting family, i.e. a maximal
-clique of the intersection graph on all k-sets.  We run Bron-Kerbosch
-with pivoting over that graph, rooted at the member [k]: every nonempty
-k-uniform family has a relabeled copy that contains [k], so the cliques
-through that one vertex already reach the optimum and hold a copy of
-every optimal class.  Two sound prunes cut the search further:
+covering number never drops when members are added, every optimum is a
+maximal clique of the graph g[1] on all k-sets, where g[i] joins two
+k-sets that meet in at least i elements.  If i is the least pairwise
+intersection of an optimum with two or more members, a relabeled copy
+contains [k] and B_i = {1..i} + {k+1..2k-i} and is a maximal clique of
+g[i].  So Bron-Kerbosch with pivoting runs once per i = max(1, 2k-n) ..
+k-1 on g[i], rooted at R = {[k], B_i}; a clique found there has least
+intersection exactly i, so each optimal class is reached from one root.
+For k = 1 or n = k there is no pair, and the root is [k] alone.  Two
+sound prunes cut the search:
 
- - size: a branch whose clique-plus-candidates total cannot beat the
-   incumbent is dropped (the incumbent starts from a known construction
-   when one applies);
+ - size: the clique plus the number of classes in a greedy colouring of
+   the candidates into sets pairwise non-adjacent in g[i] (at i = 1,
+   pairwise disjoint k-sets, of which a clique takes at most one each)
+   cannot beat the incumbent, which starts from a known construction
+   when one applies;
  - covers: if the union of current clique and candidates is hit by t - 1
    elements, no subfamily can have covering number >= t.
 
@@ -76,8 +81,9 @@ def max_intersecting_tau(
     """Exact c(n,k,t) with witness families.
 
     all_optima collects every optimal family up to isomorphism; otherwise a
-    single witness is reported.  rng permutes the exploration order only,
-    the optimum is schedule independent.
+    single witness is reported.  rng sets the exploration order, a fixed
+    shuffle when None; the optimum is schedule independent.  nodes_explored
+    and pruned are summed over the search's roots.
     """
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -87,21 +93,25 @@ def max_intersecting_tau(
         raise ScaleError(f"C({n},{k}) = {comb(n, k)} exceeds the search cap {SEARCH_VERTEX_CAP}")
 
     masks = list(subsets(full_mask(n), k))
-    if rng is not None:
-        rng.shuffle(masks)
+    # greedy colouring pairs k-sets in lexicographic order poorly (81 classes
+    # at the (9,4,1) root against 61-63 shuffled), so the order is always a
+    # shuffle, by a fixed seed when rng is None
+    (random.Random(0) if rng is None else rng).shuffle(masks)
     nv = len(masks)
-    adj = [0] * nv
-    for a in range(nv):
-        ma = masks[a]
-        for b in range(a + 1, nv):
-            if ma & masks[b]:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
     elems = [elements_of(m) for m in masks]
     coverv = [0] * (n + 1)
     for v, es in enumerate(elems):
         for x in es:
             coverv[x] |= 1 << v
+    # g[i][a]: the other k-sets meeting masks[a] in >= i elements, bit-parallel
+    g = [[0] * nv for _ in range(k + 1)]
+    for a, es in enumerate(elems):
+        meet = [(1 << nv) - 1] + [0] * k
+        for x in es:
+            for j in range(k, 0, -1):
+                meet[j] |= meet[j - 1] & coverv[x]
+        for i in range(k + 1):
+            g[i][a] = meet[i] & ~(1 << a)
     root = masks.index(mask_of(range(1, k + 1)))
 
     best = 0
@@ -130,6 +140,18 @@ def max_intersecting_tau(
                 return True
         return False
 
+    def colours(p: int, need: int) -> int:
+        """Classes of a greedy colouring of p into non-adjacent sets, up to need."""
+        c = 0
+        while p and c < need:
+            c += 1
+            q = p
+            while q:
+                vb = q & -q
+                p ^= vb
+                q &= apart[vb.bit_length() - 1]
+        return c
+
     def expand(rbits: int, nr: int, p: int, x: int):
         nonlocal best, witnesses, nodes, pruned
         nodes += 1
@@ -145,8 +167,9 @@ def max_intersecting_tau(
             else:
                 witnesses.append(fam)
             return
-        potential = nr + popcount(p)
-        if potential < best or (potential == best and not all_optima):
+        # colours the candidates must reach to beat the incumbent, or to tie it
+        need = best - nr + (not all_optima)
+        if colours(p, need) < need:
             pruned += 1
             return
         if hit_by(rbits | p, t - 1):
@@ -158,7 +181,7 @@ def max_intersecting_tau(
         w = px
         while w:
             u = (w & -w).bit_length() - 1
-            score = popcount(p & adj[u])
+            score = (p & adj[u]).bit_count()
             if score > pivot_score:
                 pivot_score = score
                 pivot = u
@@ -172,7 +195,14 @@ def max_intersecting_tau(
             x |= vb
             ext &= ~vb
 
-    expand(1 << root, 1, adj[root], 0)
+    pairs = [(i, mask_of([*range(1, i + 1), *range(k + 1, 2 * k - i + 1)]))
+             for i in range(max(1, 2 * k - n), k)]
+    for i, b in pairs or [(1, masks[root])]:  # [k] alone: k = 1 or n = k
+        adj = g[i]
+        apart = [~(a | 1 << v) for v, a in enumerate(adj)]
+        other = masks.index(b)
+        rbits = 1 << root | 1 << other
+        expand(rbits, popcount(rbits), adj[root] & adj[other], 0)
 
     if all_optima:
         witnesses = dedup_isomorphism_classes(witnesses)

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import brute_cnkt, perm_canonical, random_intersecting_family
+from helpers import brute_cnkt, brute_tau, perm_canonical, random_intersecting_family
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.covers import covering_number
 from kfam.errors import DomainError, ScaleError
@@ -77,7 +81,7 @@ def test_cnkt_schedule_independent():
 
 @pytest.mark.parametrize(
     "n,k,t",
-    [(n, k, t) for n in range(1, 7) for k in range(1, min(n, 3) + 1) for t in range(1, k + 1)],
+    [(n, k, t) for n in range(1, 7) for k in range(1, n + 1) for t in range(1, k + 1)],
 )
 def test_cnkt_matches_unrooted_oracle(n, k, t):
     best, classes = brute_cnkt(n, k, t)
@@ -91,6 +95,33 @@ def test_cnkt_matches_unrooted_oracle(n, k, t):
     assert res.optimum == best
     assert len(res.witnesses) == len(classes)
     assert {perm_canonical(w) for w in res.witnesses} == classes
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4])
+def test_cnkt_n8_k4(t):
+    # at n = 2k a clique holds at most one set of each complementary pair, so
+    # C(7,3) = 35 bounds every t, and the 35 4-sets of [7] have tau = 4
+    res = max_intersecting_tau(8, 4, t)
+    assert res.optimum == math.comb(7, 3) == 35
+    (w,) = res.witnesses
+    assert len(w) == 35 and w.uniform_k == 4
+    assert is_intersecting(w)
+    assert brute_tau(w) >= t
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--k", "4", "--nmax", "8"], "--nmax must be at least 2k+1 = 9"),
+    (["--k", "3", "--tmax", "4"], "1 <= --tmax <= k"),
+])
+def test_cnkt_table_refuses_an_empty_or_invalid_range(argv, message):
+    # n starts at 2k+1, so a smaller --nmax would print a header and no row
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "cnkt_table.py"), *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cnkt_guards():
