@@ -4,7 +4,8 @@ plus the certified covering number.
 
 Usage: python3 scripts/c3_table.py [--kmax 6] [--extra 6]
 
-Exits 1 if some row does not match.
+Rows run for k from 3 to --kmax; a --kmax below 3 or an --extra below 1
+exits 2.  Exits 1 if some row does not match.
 """
 import argparse
 import sys
@@ -19,6 +20,10 @@ def main():
     ap.add_argument("--kmax", type=int, default=6)
     ap.add_argument("--extra", type=int, default=6, help="rows per k: n from 2k+1 to 2k+extra")
     args = ap.parse_args()
+    if args.kmax < 3:
+        ap.error(f"--kmax must be at least 3, got {args.kmax}")
+    if args.extra < 1:
+        ap.error(f"--extra must be at least 1, got {args.extra}")
 
     print(f"{'n':>4} {'k':>3} {'enumerated':>11} {'formula':>8} {'tau':>4}")
     broken = False

@@ -3,8 +3,8 @@
 
 Usage: python3 scripts/certify_grids.py [names ...] [--json FILE]
 
-With no names, runs the acceptance set.  Exits 1 if any grid has a failing
-point.
+With no names, runs the acceptance set.  An unknown name exits 2.  Exits 1
+if any grid has a failing point.
 """
 import argparse
 import json
@@ -19,6 +19,11 @@ def main():
     ap.add_argument("names", nargs="*", help=f"grids to run (known: {', '.join(sorted(GRID_CHECKS))})")
     ap.add_argument("--json", metavar="FILE", help="dump full reports, every point listed, as JSON")
     args = ap.parse_args()
+    # checked here, not by choices=: argparse before 3.12 refuses an empty
+    # nargs="*" list that has choices
+    unknown = [name for name in args.names if name not in GRID_CHECKS]
+    if unknown:
+        ap.error(f"unknown grid {unknown[0]!r} (known: {', '.join(sorted(GRID_CHECKS))})")
 
     names = args.names or list(ACCEPTANCE_GRIDS)
     reports, ok = [], True

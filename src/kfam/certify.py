@@ -1,12 +1,12 @@
 """Grid certification of the inequality chains behind the main bound.
 
-Everything is exact: big integers, or rationals where the constants e and
-sqrt(e) appear.  Those enter only through hard-coded certified enclosures,
-and each comparison is made against the adverse end of its enclosure, so a
-reported pass at a grid point is a proof for that point.  Each inequality
-is one row of GRID_CHECKS: its grid of points, its hypotheses and its
-comparison.  A point that misses a hypothesis is skipped, not evaluated,
-and names the first hypothesis it misses.
+Everything is exact: big integers, or rationals where the constant sqrt(e)
+appears.  It enters only through a hard-coded certified enclosure, and each
+comparison is made against the adverse end of that enclosure, so a reported
+pass at a grid point is a proof for that point.  Each inequality is one row
+of GRID_CHECKS: its grid of points, its hypotheses and its comparison.  A
+point that misses a hypothesis is skipped, not evaluated, and names the
+first hypothesis it misses.
 """
 from __future__ import annotations
 
@@ -18,9 +18,7 @@ from functools import lru_cache
 from .errors import DomainError
 from .formulas import binom, f_of_z, f_values, fprime3, size_c3, thm1_bound
 
-# e in [2718281828, 2718281829] / 10^9; sqrt(e) likewise.
-E_LO = Fraction(2_718_281_828, 10**9)
-E_HI = Fraction(2_718_281_829, 10**9)
+# sqrt(e) in [1648721270, 1648721272] / 10^9.
 SQRT_E_LO = Fraction(1_648_721_270, 10**9)
 SQRT_E_HI = Fraction(1_648_721_272, 10**9)
 

@@ -434,7 +434,7 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         params, results, checks = handler(args)
-    except (DomainError, ScaleError, ParseError, FileNotFoundError) as exc:
+    except (DomainError, ScaleError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

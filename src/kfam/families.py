@@ -122,11 +122,6 @@ class Family:
         return mask in self.member_set
 
 
-def family(n: int, sets) -> Family:
-    """Shorthand constructor from iterables of labels."""
-    return Family.from_sets(n, sets)
-
-
 # ---------------------------------------------------------------------------
 # basic functionals
 
@@ -180,22 +175,10 @@ def diversity(fam: Family) -> int:
 # restrictions
 
 
-def _check_subset_mask(fam: Family, y_mask: int):
-    if not (0 <= y_mask < (1 << fam.n)):
-        raise DomainError(f"restriction mask {y_mask} does not fit ground [{fam.n}]")
-
-
-def restrict_contains_strip(fam: Family, y_mask: int) -> Family:
-    """Members containing Y, with Y removed from each; ground unchanged."""
-    _check_subset_mask(fam, y_mask)
-    return Family.from_masks(
-        fam.n, (m & ~y_mask for m in fam.members if m & y_mask == y_mask)
-    )
-
-
 def restrict_avoid(fam: Family, y_mask: int) -> Family:
     """Members disjoint from Y."""
-    _check_subset_mask(fam, y_mask)
+    if not (0 <= y_mask < (1 << fam.n)):
+        raise DomainError(f"restriction mask {y_mask} does not fit ground [{fam.n}]")
     return Family.from_masks(fam.n, (m for m in fam.members if m & y_mask == 0))
 
 
@@ -258,17 +241,6 @@ def _isomorphic_below(fam_a: Family, ca, fam_b: Family, cb) -> bool:
             if tb == ta and _isomorphic_below(fam_a, ca2, fam_b, cb2):
                 return True
     return False
-
-
-def are_isomorphic(fam_a: Family, fam_b: Family) -> bool:
-    """Exact relabeling test by colour refinement and individualization."""
-    if fam_a.n != fam_b.n:
-        raise DomainError("isomorphism is over relabelings of a common ground set")
-    if len(fam_a.members) != len(fam_b.members):
-        return False
-    ca, ta = _refine(fam_a.members, [0] * fam_a.n)
-    cb, tb = _refine(fam_b.members, [0] * fam_b.n)
-    return ta == tb and _isomorphic_below(fam_a, ca, fam_b, cb)
 
 
 def dedup_isomorphism_classes(fams) -> list[Family]:

@@ -34,7 +34,7 @@ def parse_family(text: str) -> Family:
             continue
         labels = []
         for tok in line.split():
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):
                 raise ParseError(f"line {lineno}: bad label {tok!r}")
             labels.append(int(tok))
         if any(not 1 <= e <= n for e in labels):
@@ -63,7 +63,11 @@ def format_family(fam: Family) -> str:
 
 
 def load_family(path) -> Family:
-    return parse_family(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc.reason})") from exc
+    return parse_family(text)
 
 
 def save_family(fam: Family, path) -> None:

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError, ScaleError
-from .families import (
-    Family,
-    elements_of,
-    is_intersecting,
-    mask_of,
-    popcount,
-    restrict_contains_strip,
-)
+from .families import Family, elements_of, is_intersecting, popcount
 
 
 def _as_ratio(r) -> tuple[int, int]:
@@ -83,42 +76,6 @@ def is_r_spread(fam: Family, r) -> SpreadCheck:
         if lhs > rhs:
             return SpreadCheck(False, elements_of(x), lhs, rhs)
     return SpreadCheck(True, None, 0, 0)
-
-
-def find_spread_restriction(fam: Family, r) -> tuple[tuple, Family]:
-    """Locate X with F(X) r-spread and |F[X]| >= r^{-|X|} |F|, |X| < k.
-
-    Takes an inclusion-maximal X among those satisfying the density lower
-    bound (the empty set always does).  Requires a k-uniform family with
-    |F| > r^k; under that guard no full member can qualify, so |X| < k
-    and the stripped family is nonempty.
-    """
-    p, q = _as_ratio(r)
-    k = fam.uniform_k
-    if k is None or k < 1:
-        raise DomainError("spread restriction needs a nonempty uniform family")
-    if len(fam) * q**k <= p**k:
-        raise DomainError(
-            f"family too small for a spread restriction: need |F| > r^k = ({p}/{q})^{k}"
-        )
-    total = len(fam)
-    qualifiers = [0]
-    for x, count in _containment_counts(fam):
-        sz = popcount(x)
-        if count * p**sz >= total * q**sz:
-            qualifiers.append(x)
-    maximal = [
-        x
-        for x in qualifiers
-        if not any(y != x and y & x == x for y in qualifiers)
-    ]
-    best = min(maximal, key=lambda x: (popcount(x), elements_of(x)))
-    if popcount(best) >= k:
-        raise InvariantError("a full member qualified despite the size guard")
-    stripped = restrict_contains_strip(fam, best)
-    if not is_r_spread(stripped, r):
-        raise InvariantError("maximal qualifier left a non-spread restriction")
-    return elements_of(best), stripped
 
 
 def maximal_reduction(fam: Family, log: list | None = None) -> Family:
@@ -195,74 +152,3 @@ def peel(fam: Family) -> PeelTrace:
         if not all(any(m & g == g for g in kept) for m in fam.members):
             raise InvariantError(f"coverage identity failed entering round {i - 1}")
     return trace
-
-
-@dataclass(frozen=True)
-class SpreadSwitchCheck:
-    """Outcome of testing the spread-based member replacement.
-
-    Truthiness reports only the conclusion (the modified family is still
-    intersecting); the precondition flags say which hypotheses held, so a
-    failed conclusion can be traced to the missing one.
-    """
-
-    g_intersecting: bool
-    sizes_bounded: bool
-    subfamily_ok: bool
-    restriction_nonempty: bool
-    restriction_spread: bool
-    alpha_exceeds_m: bool
-    x_small: bool
-    modified_intersecting: bool
-
-    def __bool__(self) -> bool:
-        return self.modified_intersecting
-
-    @property
-    def hypotheses_ok(self) -> bool:
-        return (
-            self.g_intersecting
-            and self.sizes_bounded
-            and self.subfamily_ok
-            and self.restriction_nonempty
-            and self.restriction_spread
-            and self.alpha_exceeds_m
-            and self.x_small
-        )
-
-
-def lemma_spread2_check(g: Family, x, gp: Family, alpha, m: int) -> SpreadSwitchCheck:
-    """Check that replacing the X-containing part of g by {X} stays intersecting.
-
-    Hypotheses: g intersecting with member sizes <= m, gp a subfamily whose
-    X-restriction is nonempty and alpha-spread, alpha > m, |X| < m.  When
-    they all hold the conclusion follows: any member disjoint from X would
-    be hit too often by the spread restriction.  With a hypothesis dropped
-    the conclusion can genuinely fail, which is what the flags expose.
-    """
-    x_mask = mask_of(x)
-    if x_mask >> g.n:
-        raise DomainError("X does not fit the ground set")
-    alpha = Fraction(alpha)
-    g_intersecting = is_intersecting(g)
-    sizes_bounded = all(popcount(mm) <= m for mm in g.members)
-    subfamily_ok = gp.n == g.n and set(gp.members) <= set(g.members)
-    restriction = restrict_contains_strip(gp, x_mask) if subfamily_ok else gp
-    restriction_nonempty = subfamily_ok and len(restriction) > 0
-    restriction_spread = restriction_nonempty and (
-        alpha < 1 or bool(is_r_spread(restriction, alpha))
-    )
-    alpha_exceeds_m = alpha > m
-    x_small = 0 < popcount(x_mask) < m
-    kept = [mm for mm in g.members if mm & x_mask != x_mask]
-    modified = Family.from_masks(g.n, kept + [x_mask])
-    return SpreadSwitchCheck(
-        g_intersecting=g_intersecting,
-        sizes_bounded=sizes_bounded,
-        subfamily_ok=subfamily_ok,
-        restriction_nonempty=restriction_nonempty,
-        restriction_spread=restriction_spread,
-        alpha_exceeds_m=alpha_exceeds_m,
-        x_small=x_small,
-        modified_intersecting=is_intersecting(modified),
-    )

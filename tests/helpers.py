@@ -6,8 +6,13 @@ the implementations under test.
 """
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 from kfam.errors import DomainError, ScaleError
 from kfam.families import (
@@ -19,6 +24,38 @@ from kfam.families import (
     mask_of,
 )
 from kfam.formulas import binom
+from kfam.spread import is_r_spread
+
+ROOT = Path(__file__).parents[1]
+
+
+def family(n: int, sets) -> Family:
+    return Family.from_sets(n, sets)
+
+
+def run_python(*argv) -> subprocess.CompletedProcess:
+    """Run the interpreter on argv in a new process with the repo's src/ on
+    PYTHONPATH, capturing text output."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+
+
+def relabel(fam: Family, perm: dict) -> Family:
+    """fam with each element e renamed perm[e]."""
+    return family(fam.n, [{perm[e] for e in s} for s in fam.sets()])
+
+
+def shuffled_copy(rng: random.Random, fam: Family) -> Family:
+    """fam under a uniformly random relabeling of [n]."""
+    labels = list(range(1, fam.n + 1))
+    rng.shuffle(labels)
+    return relabel(fam, dict(zip(range(1, fam.n + 1), labels)))
+
+
+def are_isomorphic(fam_a: Family, fam_b: Family) -> bool:
+    """Whether a relabeling maps one family onto the other, asked of the
+    isomorphism engine through its one entry point."""
+    return len(dedup_isomorphism_classes([fam_a, fam_b])) == 1
 
 
 def brute_is_intersecting(fam: Family) -> bool:
@@ -113,6 +150,60 @@ def restrict_contains_keep(fam: Family, y_mask: int) -> Family:
     if not 0 <= y_mask < 1 << fam.n:
         raise DomainError(f"restriction mask {y_mask} does not fit ground [{fam.n}]")
     return Family.from_masks(fam.n, (m for m in fam.members if m & y_mask == y_mask))
+
+
+def restrict_contains_strip(fam: Family, y_mask: int) -> Family:
+    """Members containing Y, with Y removed from each; ground unchanged."""
+    return Family.from_masks(fam.n, (m & ~y_mask for m in restrict_contains_keep(fam, y_mask)))
+
+
+def find_spread_restriction(fam: Family, r) -> tuple[tuple, Family]:
+    """The least, by (size, elements), inclusion-maximal X with
+    |F[X]| r^|X| >= |F|, and F(X): the members containing X, X removed.
+
+    Needs a k-uniform F with |F| > r^k, so no X of k or more elements
+    qualifies; the empty set always does.
+    """
+    r = Fraction(r)
+    k = fam.uniform_k
+    if k is None or len(fam) <= r**k:
+        raise DomainError(f"need a uniform family with |F| > r^k, got |F| = {len(fam)}, r = {r}")
+    dense = [
+        mask_of(x)
+        for size in range(k)
+        for x in combinations(range(1, fam.n + 1), size)
+        if len(restrict_contains_keep(fam, mask_of(x))) * r**size >= len(fam)
+    ]
+    x = next(x for x in dense if not any(y != x and y & x == x for y in dense))
+    return elements_of(x), restrict_contains_strip(fam, x)
+
+
+def lemma_spread2(g: Family, x, gp: Family, alpha, m: int) -> dict:
+    """Replace the members of g containing X by X itself.  The seven
+    hypotheses under which the result stays intersecting, each as a flag,
+    and under "conclusion" whether it does.
+
+    With every hypothesis true, a member of g disjoint from X would have to
+    meet every member of the alpha-spread restriction gp(X), and each of its
+    at most m < alpha elements lies in under a 1/m share of them.  An alpha
+    below 1 counts every restriction as alpha-spread.
+    """
+    x = mask_of(x)
+    alpha = Fraction(alpha)
+    subfamily = gp.n == g.n and gp.member_set <= g.member_set
+    restriction = restrict_contains_strip(gp, x) if subfamily else gp
+    nonempty = subfamily and len(restriction) > 0
+    replaced = [mm for mm in g.members if mm & x != x] + [x]
+    return {
+        "g_intersecting": brute_is_intersecting(g),
+        "sizes_bounded": all(len(s) <= m for s in g.sets()),
+        "subfamily_ok": subfamily,
+        "restriction_nonempty": nonempty,
+        "restriction_spread": nonempty and (alpha < 1 or bool(is_r_spread(restriction, alpha))),
+        "alpha_exceeds_m": alpha > m,
+        "x_small": 0 < len(elements_of(x)) < m,
+        "conclusion": brute_is_intersecting(Family.from_masks(g.n, replaced)),
+    }
 
 
 def are_cross_intersecting(fam_a: Family, fam_b: Family) -> bool:

@@ -7,14 +7,12 @@ import json
 import random
 import time
 
-from helpers import random_intersecting_family
+from helpers import are_isomorphic, family, random_intersecting_family, shuffled_copy
 from kfam.certify import ACCEPTANCE_GRIDS, certify_grid
 from kfam.constructions import c3, cross_closure, t2, t2prime
 from kfam.covers import covering_number, enumerate_minimal_tau2
 from kfam.families import (
     Family,
-    are_isomorphic,
-    family,
     is_intersecting,
     mask_of,
     max_degree_element,
@@ -168,20 +166,13 @@ def test_criterion_07_shift_properties(fixtures_dir):
     _finish(7, not problems, t0, 60, f"shift failures: {problems[:5]}")
 
 
-def _relabeled(fam: Family, rng: random.Random) -> Family:
-    labels = list(range(1, fam.n + 1))
-    rng.shuffle(labels)
-    perm = dict(zip(range(1, fam.n + 1), labels))
-    return family(fam.n, [{perm[e] for e in s} for s in fam.sets()])
-
-
 def _random_admissible(rng: random.Random) -> Family:
     # k is fixed at 4: for k=3 the hypothesis cap is C(n-5,0) = 1, while any
     # covering-number-3 family keeps >= 2 sets off every element, so no
     # admissible k=3 instance exists and that stratum is empty
     while True:
         n = rng.randint(9, 12)
-        cand = _relabeled(c3(n, 4), rng)
+        cand = shuffled_copy(rng, c3(n, 4))
         members = list(cand.members)
         rng.shuffle(members)
         kept = list(members)

@@ -1,20 +1,18 @@
 """Certification grids: enclosure proofs, registry behavior, determinism.
 
-The e and sqrt(e) enclosure constants are certified here against the
-factorial series with an explicit tail bound, entirely in rational
-arithmetic, so the adverse-end comparisons in the grid checks rest on a
-proved inclusion.
+The sqrt(e) enclosure constants are certified here against the factorial
+series for e with an explicit tail bound, entirely in rational arithmetic,
+so the adverse-end comparisons in the grid checks rest on a proved
+inclusion.
 """
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from helpers import sum_eqboundc2_layers
+from helpers import ROOT, run_python, sum_eqboundc2_layers
 
 from kfam.certify import (
     ACCEPTANCE_GRIDS,
-    E_HI,
-    E_LO,
     GRID_CHECKS,
     SQRT_E_HI,
     SQRT_E_LO,
@@ -28,12 +26,6 @@ def _e_series_bounds(terms: int = 18):
     # tail: sum_{i>N} 1/i! < 2/(N+1)!
     high = low + Fraction(2, factorial(terms + 1))
     return low, high
-
-
-def test_e_enclosure_certified():
-    low, high = _e_series_bounds()
-    assert E_LO <= low
-    assert high <= E_HI
 
 
 def test_sqrt_e_enclosure_certified():
@@ -55,6 +47,16 @@ def test_registry_contents():
         "final-compare",
     }
     assert set(ACCEPTANCE_GRIDS) <= set(GRID_CHECKS)
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["f-mono", "nope"]])
+def test_certify_grids_refuses_an_unknown_name(argv):
+    # an unknown name used to end in a KeyError traceback, after running
+    # the names before it
+    proc = run_python(ROOT / "scripts" / "certify_grids.py", *argv)
+    assert proc.returncode == 2
+    assert "unknown grid 'nope'" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_unknown_id_rejected():

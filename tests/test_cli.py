@@ -1,16 +1,13 @@
 import json
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from helpers import relabel, run_python
 from kfam import cli, covers
 from kfam.cli import run
 from kfam.errors import InvariantError
-from kfam.families import family
 from kfam.fileio import load_family, save_family
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -55,6 +52,20 @@ def test_report_structure_and_check_sides(capsys, fixtures_dir):
     assert isinstance(report["runtime_ms"], int)
     (check,) = report["checks"]
     assert {"name", "pass", "lhs", "rhs"} <= set(check)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "{dir}"], "Is a directory"),
+    (["stats", "{binary}"], "not a text file"),
+    (["construct", "c3", "--n", "9", "--k", "4", "-o", "{dir}"], "Is a directory"),
+])
+def test_unreadable_or_unwritable_path_exits_two(capsys, tmp_path, argv, message):
+    binary = tmp_path / "binary.fam"
+    binary.write_bytes(bytes(range(256)))
+    assert run([a.format(dir=tmp_path, binary=binary) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_failed_check_exits_one(capsys, fixtures_dir):
@@ -241,7 +252,7 @@ def test_canonical_stats_matches_canonical_construct(capsys, tmp_path, fixtures_
     # c3_n9_k4.fam is c3(9,4); relabel it by e -> 10 - e
     fam = load_family(str(fixtures_dir / "c3_n9_k4.fam"))
     relabeled = str(tmp_path / "c9_relabeled.fam")
-    save_family(family(9, [{10 - e for e in s} for s in fam.sets()]), relabeled)
+    save_family(relabel(fam, {e: 10 - e for e in range(1, 10)}), relabeled)
     code, report = _invoke(capsys, ["stats", relabeled, "--canonical"])
     assert code == 0
     assert report["params"] == {"family": relabeled, "canonical": True}
@@ -307,10 +318,7 @@ def test_search_lemmin_subcommand(capsys):
     (["no-such-command"], 2),
 ])
 def test_main_exits_with_the_status_of_run(argv, code):
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", "from kfam.cli import main; main()", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", "from kfam.cli import main; main()", *argv)
     assert proc.returncode == code, proc.stderr
     if code < 2:
         assert json.loads(proc.stdout)["schema"] == "kfam-report/1"
@@ -332,10 +340,7 @@ def _report(capsys, argv):
 def _alone(argv):
     """The exit status and report, without runtime_ms, of argv run alone in
     a new process."""
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", "from kfam.cli import main; main()", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_python("-c", "from kfam.cli import main; main()", *argv)
     report = json.loads(proc.stdout)
     report.pop("runtime_ms")
     return proc.returncode, report

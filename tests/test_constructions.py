@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_is_intersecting
+from helpers import ROOT, brute_is_intersecting, family, run_python
 from kfam.constructions import c3, cross_closure, full_star, hilton_milner, t2, t2prime
 from kfam.errors import DomainError
-from kfam.families import family, is_intersecting, mask_of, restrict_avoid
+from kfam.families import is_intersecting, mask_of, restrict_avoid
 from kfam.formulas import binom, hm_size, size_c3, size_f2prime
 
 
@@ -99,3 +99,16 @@ def test_cross_closure_members_meet_everything(seed):
 def test_star_plus_triangle_intersecting_check():
     fam = c3(8, 3)
     assert brute_is_intersecting(fam)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--kmax", "2"], "--kmax must be at least 3"),
+    (["--extra", "0"], "--extra must be at least 1"),
+])
+def test_c3_table_refuses_an_empty_range(argv, message):
+    # rows start at k = 3 and n = 2k+1, so either range would print a header
+    # and no row
+    proc = run_python(ROOT / "scripts" / "c3_table.py", *argv)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert proc.stdout == ""

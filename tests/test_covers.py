@@ -19,6 +19,7 @@ from helpers import (
     brute_count_hitting,
     brute_tau,
     covering_minimal_tau2,
+    family,
     perm_canonical,
     random_intersecting_family,
     random_uniform_family,
@@ -32,7 +33,7 @@ from kfam.covers import (
     representative_pools,
 )
 from kfam.errors import DomainError
-from kfam.families import Family, family, is_intersecting, mask_of
+from kfam.families import Family, is_intersecting, mask_of
 
 
 def _is_minimal_tau2(masks) -> bool:

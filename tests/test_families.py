@@ -8,30 +8,32 @@ from hypothesis import strategies as st
 
 from helpers import (
     are_cross_intersecting,
+    are_isomorphic,
     brute_is_intersecting,
+    family,
     perm_canonical,
     random_uniform_family,
+    relabel,
     restrict_contains_keep,
+    restrict_contains_strip,
+    shuffled_copy,
 )
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.errors import DomainError, ScaleError
 from kfam.families import (
     _CANONICAL_CAP,
     Family,
-    are_isomorphic,
     canonical_form,
     dedup_isomorphism_classes,
     degree,
     diversity,
     elements_of,
-    family,
     is_intersecting,
     mask_of,
     max_degree,
     max_degree_element,
     popcount,
     restrict_avoid,
-    restrict_contains_strip,
     subsets,
 )
 
@@ -153,16 +155,6 @@ def test_cross_intersecting():
     assert are_cross_intersecting(d, e)
 
 
-def _relabel(fam: Family, perm: dict) -> Family:
-    return family(fam.n, [{perm[e] for e in s} for s in fam.sets()])
-
-
-def _shuffled_copy(rng: random.Random, fam: Family) -> Family:
-    labels = list(range(1, fam.n + 1))
-    rng.shuffle(labels)
-    return _relabel(fam, dict(zip(range(1, fam.n + 1), labels)))
-
-
 def _random_family(rng: random.Random, n: int, size: int, uniform: bool) -> Family:
     if uniform:
         return random_uniform_family(rng, n, rng.randint(1, n), size)
@@ -191,7 +183,7 @@ def test_canonical_matches_permutation_orbit_at_n8(build):
 @pytest.mark.parametrize("build", [c3, full_star], ids=["c3", "star"])
 def test_canonical_invariant_at_n9(build):
     fam = build(9, 4)
-    shuffled = _shuffled_copy(random.Random(9), fam)
+    shuffled = shuffled_copy(random.Random(9), fam)
     assert shuffled != fam
     assert canonical_form(shuffled) == canonical_form(fam)
 
@@ -204,7 +196,7 @@ def test_canonical_past_refinement():
     both = family(12, hexagon + [(7, 8), (8, 9), (7, 9), (10, 11), (11, 12), (10, 12)])
     canon = canonical_form(both)
     assert canon.members[:3] == (0b011, 0b101, 0b110)
-    assert canonical_form(_relabel(both, {e: 13 - e for e in range(1, 13)})) == canon
+    assert canonical_form(relabel(both, {e: 13 - e for e in range(1, 13)})) == canon
 
 
 def test_canonical_refuses_past_its_cap():
@@ -224,12 +216,12 @@ def test_canonical_invariant_under_relabeling(seed, n, k, size):
     k = min(k, n)
     rng = random.Random(seed)
     fam = random_uniform_family(rng, n, k, size)
-    assert canonical_form(fam) == canonical_form(_shuffled_copy(rng, fam))
+    assert canonical_form(fam) == canonical_form(shuffled_copy(rng, fam))
 
 
 def test_isomorphism():
     a = t2(3, 7)
-    b = _relabel(a, {1: 7, 2: 2, 3: 5, 4: 1, 5: 3, 6: 6, 7: 4})
+    b = relabel(a, {1: 7, 2: 2, 3: 5, 4: 1, 5: 3, 6: 6, 7: 4})
     assert are_isomorphic(a, b)
     assert not are_isomorphic(t2(3, 7), family(7, t2prime(3, 7).sets() + [(1, 2, 3)]))
     assert not are_isomorphic(full_star(7, 3), c3(7, 3))
@@ -237,7 +229,7 @@ def test_isomorphism():
 
 def test_dedup_isomorphism_classes():
     a = t2(3, 7)
-    b = _relabel(a, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 7, 7: 6})
+    b = relabel(a, {1: 2, 2: 1, 3: 3, 4: 4, 5: 5, 6: 7, 7: 6})
     reps = dedup_isomorphism_classes([a, b, full_star(7, 3)])
     assert len(reps) == 2
 
@@ -247,7 +239,7 @@ def test_dedup_isomorphism_classes():
 def test_isomorphism_matches_permutation_orbit(seed, n, size, uniform):
     rng = random.Random(seed)
     a = _random_family(rng, n, size, uniform)
-    assert are_isomorphic(a, _shuffled_copy(rng, a))
+    assert are_isomorphic(a, shuffled_copy(rng, a))
     b = _random_family(rng, n, len(a), uniform)
     assert are_isomorphic(a, b) == (perm_canonical(a) == perm_canonical(b))
 
@@ -260,7 +252,7 @@ def test_dedup_keeps_first_of_each_orbit(seed, n, k):
     fams = []
     for _ in range(8):
         fam = random_uniform_family(rng, n, k, rng.randint(1, 4))
-        fams += [fam, _shuffled_copy(rng, fam)]
+        fams += [fam, shuffled_copy(rng, fam)]
     rng.shuffle(fams)
     first: dict = {}
     for fam in fams:
@@ -276,11 +268,11 @@ def test_isomorphism_past_refinement():
     assert not are_isomorphic(triangles, hexagon)
     rng = random.Random(6)
     for fam in (hexagon, triangles):
-        assert are_isomorphic(fam, _shuffled_copy(rng, fam))
+        assert are_isomorphic(fam, shuffled_copy(rng, fam))
     assert len(dedup_isomorphism_classes([hexagon, triangles])) == 2
     # a hexagon beside two triangles on [12], relabeled so that element 1
     # moves from the hexagon into a triangle: individualizing 1 against the
     # first candidate fails and the search has to try the others
     both = family(12, hexagon.sets() + [(a + 6, b + 6) for a, b in triangles.sets()])
     swap = {e: (e + 5) % 12 + 1 for e in range(1, 13)}
-    assert are_isomorphic(both, _relabel(both, swap))
+    assert are_isomorphic(both, relabel(both, swap))

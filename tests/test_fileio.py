@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_uniform_family
+from helpers import family, random_uniform_family
 from kfam.errors import ParseError
 from kfam.fileio import format_family, load_family, parse_family, save_family
-from kfam.families import family
 
 
 def test_t2_encoding():
@@ -48,6 +47,7 @@ def test_duplicate_member_warns():
     [
         ("1 2 3\n", "line 1"),
         ("n=5\nx y\n", "line 2"),
+        ("n=5\n1 \u00b2\n", "line 2: bad label '\u00b2'"),
         ("n=5\n1 7\n", "line 2"),
         ("n=5\n2 1\n", "line 2"),
         ("", "line 1"),

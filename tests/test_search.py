@@ -1,17 +1,21 @@
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from helpers import brute_cnkt, brute_tau, perm_canonical, random_intersecting_family
+from helpers import (
+    ROOT,
+    are_isomorphic,
+    brute_cnkt,
+    brute_tau,
+    perm_canonical,
+    random_intersecting_family,
+    run_python,
+)
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.covers import covering_number
 from kfam.errors import DomainError, ScaleError
-from kfam.families import are_isomorphic, canonical_form, is_intersecting
+from kfam.families import canonical_form, is_intersecting
 from kfam.formulas import ekr_bound, f_of_z, hm_size, thm1_bound
 from kfam.search import (
     find_tau_dropping_shift,
@@ -115,10 +119,7 @@ def test_cnkt_n8_k4(t):
 ])
 def test_cnkt_table_refuses_an_empty_or_invalid_range(argv, message):
     # n starts at 2k+1, so a smaller --nmax would print a header and no row
-    root = Path(__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "cnkt_table.py"), *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    proc = run_python(ROOT / "scripts" / "cnkt_table.py", *argv)
     assert proc.returncode == 2
     assert message in proc.stderr
     assert proc.stdout == ""

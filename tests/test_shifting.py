@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_intersecting_family, random_uniform_family, shift_set
+from helpers import family, random_intersecting_family, random_uniform_family, shift_set
 from kfam.errors import DomainError
-from kfam.families import family, is_intersecting
+from kfam.families import is_intersecting
 from kfam.shifting import shift_family
 
 

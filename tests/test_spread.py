@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_intersecting_family, restart_reduction
+from helpers import (
+    family,
+    find_spread_restriction,
+    lemma_spread2,
+    random_intersecting_family,
+    restart_reduction,
+)
 from kfam.constructions import c3, full_star, t2
 from kfam.errors import DomainError
-from kfam.families import Family, elements_of, family, is_intersecting, mask_of
-from kfam.spread import (
-    find_spread_restriction,
-    is_r_spread,
-    lemma_spread2_check,
-    maximal_reduction,
-    peel,
-)
+from kfam.families import Family, elements_of, is_intersecting, mask_of
+from kfam.spread import is_r_spread, maximal_reduction, peel
 
 
 def test_star_is_never_spread():
@@ -179,10 +179,13 @@ def test_peel_layer_bounds_random():
         _check_coverage(fam, trace)
 
 
+def _hypotheses_hold(res: dict, *dropped) -> bool:
+    return all(held for name, held in res.items() if name not in ("conclusion", *dropped))
+
+
 def test_lemma_spread2_common_element_true():
     g = family(6, [{1, 2, 3}, {1, 4, 5}, {1, 2, 6}])
-    res = lemma_spread2_check(g, {1}, g, 4, 3)
-    assert res
+    assert lemma_spread2(g, {1}, g, 4, 3)["conclusion"]
 
 
 def test_lemma_spread2_valid_instances_true():
@@ -195,13 +198,13 @@ def test_lemma_spread2_valid_instances_true():
         extras = [{1, rng.randint(3, n), rng.randint(3, n)} for _ in range(rng.randint(0, 3))]
         g = family(n, gp_sets + extras)
         gp = family(n, gp_sets)
-        res = lemma_spread2_check(g, {1, 2}, gp, len(tail), 3)
-        if res.hypotheses_ok:
-            assert res
+        res = lemma_spread2(g, {1, 2}, gp, len(tail), 3)
+        if _hypotheses_hold(res):
+            assert res["conclusion"]
     # at least the base shape must pass its hypotheses
     g = family(9, [{1, 2, y} for y in range(3, 9)] + [{1, 3, 4}])
-    res = lemma_spread2_check(g, {1, 2}, family(9, [{1, 2, y} for y in range(3, 9)]), 6, 3)
-    assert res.hypotheses_ok and res
+    res = lemma_spread2(g, {1, 2}, family(9, [{1, 2, y} for y in range(3, 9)]), 6, 3)
+    assert _hypotheses_hold(res) and res["conclusion"]
 
 
 def test_lemma_spread2_violating_instance_found_by_search():
@@ -211,16 +214,9 @@ def test_lemma_spread2_violating_instance_found_by_search():
     g = family(4, tri)
     for x in ({1}, {2}, {3}):
         for gp_sets in combinations(tri, 1):
-            res = lemma_spread2_check(g, x, family(4, list(gp_sets)), 1, 2)
-            hypo_minus_alpha = (
-                res.g_intersecting
-                and res.sizes_bounded
-                and res.subfamily_ok
-                and res.restriction_nonempty
-                and res.restriction_spread
-                and res.x_small
-            )
-            if hypo_minus_alpha and not res.alpha_exceeds_m and not res:
+            res = lemma_spread2(g, x, family(4, list(gp_sets)), 1, 2)
+            if (_hypotheses_hold(res, "alpha_exceeds_m")
+                    and not res["alpha_exceeds_m"] and not res["conclusion"]):
                 found = (x, gp_sets)
                 break
         if found:
@@ -230,7 +226,6 @@ def test_lemma_spread2_violating_instance_found_by_search():
 
 def test_lemma_spread2_flags_reported_individually():
     g = family(5, [{1, 2}, {3, 4}])  # not intersecting
-    res = lemma_spread2_check(g, {1}, g, 3, 2)
-    assert not res.g_intersecting
-    res2 = lemma_spread2_check(family(5, [{1, 2, 3}]), {1}, family(5, [{1, 2, 3}]), 3, 2)
-    assert not res2.sizes_bounded
+    assert not lemma_spread2(g, {1}, g, 3, 2)["g_intersecting"]
+    res = lemma_spread2(family(5, [{1, 2, 3}]), {1}, family(5, [{1, 2, 3}]), 3, 2)
+    assert not res["sizes_bounded"]

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from helpers import family, shuffled_copy
 from kfam import switching
 from kfam.constructions import c3, full_star, t2
 from kfam.covers import covering_number, minimal_tau2_subfamily, representative_pools
 from kfam.errors import DomainError, ExchangeError
 from kfam.families import (
     Family,
-    family,
     is_intersecting,
     mask_of,
     max_degree_element,
@@ -167,17 +167,10 @@ def test_pipeline_rejects_fat_diversity_at_entry():
         switch_pipeline(_fat_diversity_instance())
 
 
-def _relabel(fam: Family, rng: random.Random) -> Family:
-    labels = list(range(1, fam.n + 1))
-    rng.shuffle(labels)
-    perm = dict(zip(range(1, fam.n + 1), labels))
-    return family(fam.n, [{perm[e] for e in s} for s in fam.sets()])
-
-
 def _random_admissible(rng: random.Random) -> Family:
     while True:
         n = rng.randint(9, 12)
-        fam = _relabel(c3(n, 4), rng)
+        fam = shuffled_copy(rng, c3(n, 4))
         members = list(fam.members)
         rng.shuffle(members)
         kept = list(members)
