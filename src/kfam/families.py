@@ -102,6 +102,17 @@ class Family:
         return frozenset(self.members)
 
     @cached_property
+    def incidence(self) -> tuple[list, list]:
+        """The elements of each member and the members holding each element,
+        as 0-based index lists: built once for the isomorphism engine."""
+        sets = [[e for e in range(self.n) if m >> e & 1] for m in self.members]
+        holders = [[] for _ in range(self.n)]
+        for i, s in enumerate(sets):
+            for e in s:
+                holders[e].append(i)
+        return sets, holders
+
+    @cached_property
     def uniform_k(self):
         """Common member size if the family is uniform, else None."""
         sizes = {m.bit_count() for m in self.members}
@@ -186,7 +197,7 @@ def restrict_avoid(fam: Family, y_mask: int) -> Family:
 # isomorphism and canonical relabeling
 
 
-def _refine(member_bits, colour):
+def _refine(fam: Family, colour):
     """Refine element colours (indexed 0..n-1) to an equitable partition.
 
     Each round colours every member by the sorted colours of its elements,
@@ -196,19 +207,14 @@ def _refine(member_bits, colour):
     not depend on the labeling.  Equal traces mean each colour stands for
     the same signature in both runs.
     """
-    n = len(colour)
-    sets = [[e for e in range(n) if m >> e & 1] for m in member_bits]
-    holders = [[] for _ in range(n)]
-    for i, s in enumerate(sets):
-        for e in s:
-            holders[e].append(i)
+    sets, holders = fam.incidence
     trace = []
     cells = len(set(colour))
     while True:
-        msig = [tuple(sorted(colour[e] for e in s)) for s in sets]
+        msig = [tuple(sorted(map(colour.__getitem__, s))) for s in sets]
         rank = {sig: r for r, sig in enumerate(sorted(set(msig)))}
         mcol = [rank[sig] for sig in msig]
-        esig = [(colour[e], tuple(sorted(mcol[i] for i in holders[e]))) for e in range(n)]
+        esig = [(c, tuple(sorted(map(mcol.__getitem__, h)))) for c, h in zip(colour, holders)]
         rank = {sig: r for r, sig in enumerate(sorted(set(esig)))}
         colour = [rank[sig] for sig in esig]
         trace.append((tuple(sorted(msig)), tuple(sorted(esig))))
@@ -234,10 +240,10 @@ def _isomorphic_below(fam_a: Family, ca, fam_b: Family, cb) -> bool:
         }
     v = min(split, key=len)[0]
     fresh = len(cells)
-    ca2, ta = _refine(fam_a.members, ca[:v] + [fresh] + ca[v + 1 :])
+    ca2, ta = _refine(fam_a, ca[:v] + [fresh] + ca[v + 1 :])
     for w, c in enumerate(cb):
         if c == ca[v]:
-            cb2, tb = _refine(fam_b.members, cb[:w] + [fresh] + cb[w + 1 :])
+            cb2, tb = _refine(fam_b, cb[:w] + [fresh] + cb[w + 1 :])
             if tb == ta and _isomorphic_below(fam_a, ca2, fam_b, cb2):
                 return True
     return False
@@ -253,7 +259,7 @@ def dedup_isomorphism_classes(fams) -> list[Family]:
     buckets: dict = {}
     out = []
     for f in fams:
-        colour, trace = _refine(f.members, [0] * f.n)
+        colour, trace = _refine(f, [0] * f.n)
         reps = buckets.setdefault((f.n, len(f.members), trace), [])
         if not any(_isomorphic_below(f, colour, r, rc) for r, rc in reps):
             reps.append((f, colour))
@@ -280,6 +286,21 @@ def dedup_isomorphism_classes(fams) -> list[Family]:
 # child is dropped when exchanging its element with a kept sibling's is an
 # automorphism, and otherwise individualized, refined and confirmed against
 # the kept ones with the isomorphism search.
+#
+# Twins are elements that lie in exactly the same members.  Exchanging two
+# unlabeled twins is an automorphism fixing every labeled element, and both
+# lie in the same bounding members, so only the least unlabeled twin of a
+# class is tried.  Moreover every least member list gives each twin class
+# consecutive labels.  Were twins x and y labeled a and c > a + 1 and z, no
+# twin, labeled a + 1, let A hold the members with x (so with y) but not z,
+# and Z those with z but not x; one is nonempty, as z is no twin.
+# Exchanging labels a and a + 1 lowers every mask of Z and raises every
+# mask of A; exchanging a + 1 and c does the reverse; no other mask moves.
+# The exchange that lowers the least mask of A and Z puts the least moved
+# mask below every old moved mask; the unmoved masks are common to both
+# lists, so the sorted list falls, and it was not least.  So while the last
+# labeled element has an unlabeled twin, every least list labels a twin of
+# it next, and the least such twin is the only child kept.
 
 
 def _label(pending, e: int, used: int):
@@ -319,7 +340,7 @@ def _orbit_reps(fam: Family, order, colour, es):
         start = [0] * fam.n
         for lbl, x in enumerate(order):
             start[x] = lbl + 1
-        colour, _ = _refine(fam.members, start)
+        colour, _ = _refine(fam, start)
     if len(set(colour)) == fam.n:  # only the identity fixes the labeled elements
         return [(e, colour) for e in es]
     cells: dict = {}
@@ -335,7 +356,7 @@ def _orbit_reps(fam: Family, order, colour, es):
         for e in cell:
             if any(_swaps(fam, e, r) for r, _, _ in reps):
                 continue
-            ce, te = _refine(fam.members, colour[:e] + [fresh] + colour[e + 1 :])
+            ce, te = _refine(fam, colour[:e] + [fresh] + colour[e + 1 :])
             if not any(te == tr and _isomorphic_below(fam, ce, fam, cr) for _, cr, tr in reps):
                 reps.append((e, ce, te))
         kept += [(e, ce) for e, ce, _ in reps]
@@ -347,22 +368,30 @@ def canonical_form(fam: Family) -> Family:
     if len(fam.members) > _CANONICAL_CAP:
         raise ScaleError(f"canonical form of {len(fam)} members: past the cap {_CANONICAL_CAP}")
     done = [m for m in fam.members if not m]
+    holders = fam.incidence[1]  # twins[e]: e's twin class as a mask, e included
+    twins = [sum(1 << x for x, g in enumerate(holders) if g == h) for h in holders]
     # a partial labeling: (labeled elements in label order, open members as
     # (label mask, unlabeled elements), equitable colouring or None)
     level = [((), [(0, m) for m in fam.members if m], None)]
     used = 0
     while level[0][1]:
         best, ties = None, {}
-        for p, (_, pending, _) in enumerate(level):
+        for p, (order, pending, _) in enumerate(level):
             reach = _reach(pending, used)
             low = min(reach)
             cands = 0  # only an element of a bounding member keeps the bound
             for r, (_, todo) in zip(reach, pending):
                 if r == low:
                     cands |= todo
+            # a twin of a candidate, or of the element labeled last (every
+            # bounding member then holds it), is unlabeled iff a candidate
+            run = twins[order[-1]] & cands if order else 0
+            free = cands = run & -run if run else cands
             while cands:
                 e = (cands & -cands).bit_length() - 1
                 cands &= cands - 1
+                if twins[e] & free & (1 << e) - 1:
+                    continue
                 finished, rest = _label(pending, e, used)
                 key = finished + [min(_reach(rest, used + 1))] if rest else finished
                 if best is None or key < best:

@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import DomainError, ParseError
 from .families import Family, elements_of, mask_of
 
-_HEADER = re.compile(r"^n\s*=\s*(\d+)$")
+_HEADER = re.compile(r"^n\s*=\s*(\d+)$", re.ASCII)
 
 
 def parse_family(text: str) -> Family:

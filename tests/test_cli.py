@@ -79,6 +79,12 @@ def test_failed_check_exits_one(capsys, fixtures_dir):
 def test_usage_and_domain_errors_exit_two(capsys, tmp_path, fixtures_dir, monkeypatch):
     assert run(["no-such-command"]) == 2
     assert run(["tau", str(tmp_path / "missing.fam")]) == 2
+    # Arabic-Indic digits are refused in the header as they are in labels
+    arabic = tmp_path / "arabic.fam"
+    arabic.write_text("n=\u0661\u0662\n1 2\n")
+    assert run(["stats", str(arabic)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: line 1: expected 'n=<ground size>', got 'n=\u0661\u0662'\n")
     assert run(["construct", "c3", "--n", "5", "--k", "4"]) == 2
     assert run(["verify", "grid", "--name", "f-mono", "--ranges", "{bad json"]) == 2
     assert run(["verify", "grid", "--name", "f-mono", "--ranges", '{"k": 5}']) == 2

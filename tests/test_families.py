@@ -19,6 +19,7 @@ from helpers import (
     shuffled_copy,
 )
 from kfam.constructions import c3, full_star, t2, t2prime
+from kfam.covers import enumerate_minimal_tau2
 from kfam.errors import DomainError, ScaleError
 from kfam.families import (
     _CANONICAL_CAP,
@@ -171,6 +172,28 @@ def test_canonical_matches_permutation_orbit(seed, n, k, size, mixed):
     else:
         fam = random_uniform_family(rng, n, k, size)
     assert canonical_form(fam).members == perm_canonical(fam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 5))
+def test_canonical_matches_permutation_orbit_with_twins(seed, points):
+    # each point of a random family becomes a class of 1-3 twins (elements
+    # in exactly the same members), so that labelings tie inside each class
+    rng = random.Random(seed)
+    sizes = [rng.randint(1, 3) for _ in range(points)]
+    while sum(sizes) > 8:
+        sizes[sizes.index(max(sizes))] -= 1
+    blocks = [((1 << size) - 1) << sum(sizes[:i]) for i, size in enumerate(sizes)]
+    base = _random_family(rng, points, rng.randint(1, 2**points - 1), uniform=False)
+    blown = (sum(b for i, b in enumerate(blocks) if m >> i & 1) for m in base)
+    fam = shuffled_copy(rng, Family.from_masks(sum(sizes), blown))
+    assert canonical_form(fam).members == perm_canonical(fam)
+
+
+def test_census_classes_are_their_own_canonical_forms():
+    rng = random.Random(95)
+    for h in enumerate_minimal_tau2(9, 5):
+        assert canonical_form(shuffled_copy(rng, h)) == h
 
 
 @pytest.mark.parametrize("build", [c3, full_star], ids=["c3", "star"])

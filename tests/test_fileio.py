@@ -48,6 +48,7 @@ def test_duplicate_member_warns():
         ("1 2 3\n", "line 1"),
         ("n=5\nx y\n", "line 2"),
         ("n=5\n1 \u00b2\n", "line 2: bad label '\u00b2'"),
+        ("n=\u0661\u0662\n1 2\n", "line 1: expected 'n=<ground size>'"),
         ("n=5\n1 7\n", "line 2"),
         ("n=5\n2 1\n", "line 2"),
         ("", "line 1"),
