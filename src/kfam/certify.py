@@ -214,9 +214,6 @@ GRID_CHECKS = {
                       (_K100,), _check_final_compare),
 }
 
-# the grid runs backing the acceptance gate
-ACCEPTANCE_GRIDS = ("f-mono", "g-ratio", "two-g5", "eqc3large", "eqboundf")
-
 
 def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> GridReport:
     """Evaluate one registered inequality point by point over its (possibly

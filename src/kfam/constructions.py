@@ -14,19 +14,22 @@ from .formulas import binom
 _CLOSURE_CAP = 5_000_000
 
 
-def _cap_through_one(n: int, k: int, what: str):
-    """Refuse a family listed from the binom(n-1, k-1) k-sets through one
-    element before enumerating them."""
+def _through_one(n: int, k: int, avoiders: list, what: str) -> Family:
+    """The pivot completion: the sets in avoiders, which miss element 1, plus
+    every k-set through 1 that meets all of them.  Refused before listing
+    when the binom(n-1, k-1) candidates exceed the cap."""
     if binom(n - 1, k - 1) > _CLOSURE_CAP:
         raise ScaleError(f"{what} over [{n}] choose {k} is too large to list")
+    return Family.from_masks(
+        n, avoiders + [m | 1 for m in subsets(full_mask(n) - 1, k - 1, avoiders)]
+    )
 
 
 def full_star(n: int, k: int) -> Family:
     """All k-subsets of [n] through element 1."""
     if not (1 <= k <= n):
         raise DomainError(f"need 1 <= k <= n, got n={n} k={k}")
-    _cap_through_one(n, k, "star")
-    return Family.from_masks(n, (m | 1 for m in subsets(full_mask(n) - 1, k - 1)))
+    return _through_one(n, k, [], "star")
 
 
 def hilton_milner(n: int, k: int) -> Family:
@@ -34,10 +37,7 @@ def hilton_milner(n: int, k: int) -> Family:
     plus every k-set through 1 that meets it."""
     if not (k >= 2 and n > 2 * k):
         raise DomainError(f"need n > 2k >= 4, got n={n} k={k}")
-    _cap_through_one(n, k, "Hilton-Milner family")
-    block = mask_of(range(2, k + 2))
-    masks = [block] + [m | 1 for m in subsets(full_mask(n) - 1, k - 1, (block,))]
-    return Family.from_masks(n, masks)
+    return _through_one(n, k, [mask_of(range(2, k + 2))], "Hilton-Milner family")
 
 
 def t2(k: int, ground_n: int | None = None) -> Family:
@@ -82,10 +82,6 @@ def c3(n: int, k: int) -> Family:
     """
     if not (k >= 3 and n >= 2 * k):
         raise DomainError(f"need k >= 3 and n >= 2k, got n={n} k={k}")
-    _cap_through_one(n, k, "c3")
     tail = mask_of(range(k + 2, 2 * k + 1))
-    a1 = mask_of(range(2, k + 2))
-    a2 = tail | mask_of([2])
-    a3 = tail | mask_of([3])
-    masks = [a1, a2, a3] + [m | 1 for m in subsets(full_mask(n) - 1, k - 1, (a1, a2, a3))]
-    return Family.from_masks(n, masks)
+    bases = [mask_of(range(2, k + 2)), tail | mask_of([2]), tail | mask_of([3])]
+    return _through_one(n, k, bases, "c3")

@@ -41,10 +41,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def full_mask(n: int) -> int:
     return (1 << n) - 1
 

@@ -45,7 +45,6 @@ from .families import (
     full_mask,
     is_intersecting,
     mask_of,
-    popcount,
     subsets,
 )
 from .shifting import shift_family
@@ -202,7 +201,7 @@ def max_intersecting_tau(
         apart = [~(a | 1 << v) for v, a in enumerate(adj)]
         other = masks.index(b)
         rbits = 1 << root | 1 << other
-        expand(rbits, popcount(rbits), adj[root] & adj[other], 0)
+        expand(rbits, rbits.bit_count(), adj[root] & adj[other], 0)
 
     if all_optima:
         witnesses = dedup_isomorphism_classes(witnesses)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DomainError, InvariantError, ScaleError
-from .families import Family, elements_of, is_intersecting, popcount
+from .families import Family, elements_of, is_intersecting
 
 
 def _as_ratio(r) -> tuple[int, int]:
@@ -37,7 +37,7 @@ def _containment_counts(fam: Family) -> list[tuple[int, int]]:
     Only these can violate spreadness: any other X has F[X] empty.
     Ordered by (size, element tuple), which is not the numeric mask order.
     """
-    total = sum(1 << popcount(m) for m in fam.members)
+    total = sum(1 << m.bit_count() for m in fam.members)
     if total > _SUBSET_CAP:
         raise ScaleError(f"the members have {total} subsets in all, past the cap {_SUBSET_CAP}")
     counts: dict = {}
@@ -46,7 +46,7 @@ def _containment_counts(fam: Family) -> list[tuple[int, int]]:
         while x:
             counts[x] = counts.get(x, 0) + 1
             x = (x - 1) & m
-    return sorted(counts.items(), key=lambda xc: (popcount(xc[0]), elements_of(xc[0])))
+    return sorted(counts.items(), key=lambda xc: (xc[0].bit_count(), elements_of(xc[0])))
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def is_r_spread(fam: Family, r) -> SpreadCheck:
     p, q = _as_ratio(r)
     total = len(fam)
     for x, count in _containment_counts(fam):
-        sz = popcount(x)
+        sz = x.bit_count()
         lhs = count * p**sz
         rhs = total * q**sz
         if lhs > rhs:
@@ -94,7 +94,7 @@ def maximal_reduction(fam: Family, log: list | None = None) -> Family:
     if not is_intersecting(fam):
         raise DomainError("maximal_reduction expects an intersecting family")
     members = list(fam.members)
-    heap = [(-popcount(m), m, idx) for idx, m in enumerate(members)]
+    heap = [(-m.bit_count(), m, idx) for idx, m in enumerate(members)]
     heapq.heapify(heap)
     while heap:
         _, m, idx = heapq.heappop(heap)
@@ -105,7 +105,7 @@ def maximal_reduction(fam: Family, log: list | None = None) -> Family:
                 members[idx] = cand
                 if log is not None:
                     log.append((m, cand))
-                heapq.heappush(heap, (-popcount(cand), cand, idx))
+                heapq.heappush(heap, (-cand.bit_count(), cand, idx))
                 break
     # drop members that became duplicates or proper supersets of another
     out = sorted(set(members))
@@ -142,11 +142,11 @@ def peel(fam: Family) -> PeelTrace:
     trace.residues[k] = current
     for i in range(k, 1, -1):
         reduced = maximal_reduction(current, log=trace.reduction_log)
-        layer = Family.from_masks(fam.n, (m for m in reduced.members if popcount(m) == i))
+        layer = Family.from_masks(fam.n, (m for m in reduced.members if m.bit_count() == i))
         if len(layer) > i**i:
             raise InvariantError(f"layer of {i}-sets exceeds {i}^{i}")
         trace.layers[i] = layer
-        current = Family.from_masks(fam.n, (m for m in reduced.members if popcount(m) != i))
+        current = Family.from_masks(fam.n, (m for m in reduced.members if m.bit_count() != i))
         trace.residues[i - 1] = current
         kept = [*current.members, *(g for j in range(i, k + 1) for g in trace.layers[j].members)]
         if not all(any(m & g == g for g in kept) for m in fam.members):

@@ -27,7 +27,6 @@ from .families import (
     is_intersecting,
     mask_of,
     max_degree_element,
-    popcount,
     restrict_avoid,
     subsets,
 )
@@ -112,25 +111,25 @@ def exchange_transversal(fam: Family, pivot: int, core: Family, locked: int,
         raise DomainError("I must be nonempty")
     if i_mask & (locked | pivot_bit):
         raise DomainError("I must avoid the pivot and the locked elements")
-    isz = popcount(i_mask)
+    isz = i_mask.bit_count()
     for cm in core.members:
         if not i_mask & (cm & ~locked):
             raise DomainError("I misses a stripped core member")
-    if popcount(locked) < isz + 1:
+    if locked.bit_count() < isz + 1:
         raise ExchangeError(
-            f"uniformity: need |locked| >= |I|+1, got {popcount(locked)} < {isz + 1}"
+            f"uniformity: need |locked| >= |I|+1, got {locked.bit_count()} < {isz + 1}"
         )
     a = k - 1 - isz
     if a < 0:
         raise DomainError("I is too large to sit inside a k-set with the pivot")
-    b = k - popcount(locked)
+    b = k - locked.bit_count()
     b_side = {
         s for s in fam.members if not s & pivot_bit and s & locked == locked and not s & i_mask
     }
     if b_side & core.member_set:
         raise InvariantError("a core member matched the stray-set pattern")
     y_mask = full_mask(n) & ~(pivot_bit | locked | i_mask)
-    y = popcount(y_mask)
+    y = y_mask.bit_count()
     t0 = b + 1 - a
     if a >= 1 and b >= 1 and t0 >= 1 and y > a + b:
         threshold = binom(y - t0, a - 1)
@@ -234,8 +233,6 @@ def switch_pipeline(fam: Family) -> PipelineResult:
     passes = 0
     cap = 0
     while True:
-        if covering_number(f).tau != 3:
-            return PipelineResult(f, "aborted:tau-drifted", log, passes)
         pivot = max_degree_element(f)
         pivot_bit = 1 << (pivot - 1)
         avoid = restrict_avoid(f, pivot_bit)
@@ -293,6 +290,9 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                         break
                 else:
                     return PipelineResult(f, "aborted:shift-stuck", log, passes)
+                # only a shift leads into another pass: recheck tau before it starts
+                if covering_number(f).tau != 3:
+                    return PipelineResult(f, "aborted:tau-drifted", log, passes)
                 continue
 
             for f in _run_stage(f, pivot, core, "transversal", iprime_union, iprime, log, passes):

@@ -9,10 +9,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from helpers import ROOT, run_python, sum_eqboundc2_layers
+from helpers import sum_eqboundc2_layers
 
 from kfam.certify import (
-    ACCEPTANCE_GRIDS,
     GRID_CHECKS,
     SQRT_E_HI,
     SQRT_E_LO,
@@ -46,17 +45,6 @@ def test_registry_contents():
         "peel-combine",
         "final-compare",
     }
-    assert set(ACCEPTANCE_GRIDS) <= set(GRID_CHECKS)
-
-
-@pytest.mark.parametrize("argv", [["nope"], ["f-mono", "nope"]])
-def test_certify_grids_refuses_an_unknown_name(argv):
-    # an unknown name used to end in a KeyError traceback, after running
-    # the names before it
-    proc = run_python(ROOT / "scripts" / "certify_grids.py", *argv)
-    assert proc.returncode == 2
-    assert "unknown grid 'nope'" in proc.stderr
-    assert proc.stdout == ""
 
 
 def test_unknown_id_rejected():

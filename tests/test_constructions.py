@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ROOT, brute_is_intersecting, family, run_python
+from helpers import brute_is_intersecting, family
 from kfam.constructions import c3, cross_closure, full_star, hilton_milner, t2, t2prime
 from kfam.errors import DomainError
 from kfam.families import is_intersecting, mask_of, restrict_avoid
@@ -57,7 +57,9 @@ def test_c3_structure():
     assert len(fam) == size_c3(9, 4) == 48
 
 
-@pytest.mark.parametrize("n,k", [(7, 3), (8, 3), (9, 3), (9, 4), (10, 4), (12, 5)])
+@pytest.mark.parametrize(
+    "n,k", [(7, 3), (8, 3), (9, 3), (10, 3), (11, 3), (12, 3), (9, 4), (10, 4), (12, 5)]
+)
 def test_c3_size_formula(n, k):
     assert len(c3(n, k)) == size_c3(n, k)
 
@@ -99,16 +101,3 @@ def test_cross_closure_members_meet_everything(seed):
 def test_star_plus_triangle_intersecting_check():
     fam = c3(8, 3)
     assert brute_is_intersecting(fam)
-
-
-@pytest.mark.parametrize("argv,message", [
-    (["--kmax", "2"], "--kmax must be at least 3"),
-    (["--extra", "0"], "--extra must be at least 1"),
-])
-def test_c3_table_refuses_an_empty_range(argv, message):
-    # rows start at k = 3 and n = 2k+1, so either range would print a header
-    # and no row
-    proc = run_python(ROOT / "scripts" / "c3_table.py", *argv)
-    assert proc.returncode == 2
-    assert message in proc.stderr
-    assert proc.stdout == ""

@@ -97,7 +97,9 @@ def test_covering_number_matches_brute(seed, n, k, size):
 def test_tau_frozen_values():
     for k in (3, 4, 5, 6):
         assert covering_number(t2(k)).tau == 2
-    for n, k in [(7, 3), (9, 4), (10, 4), (12, 5)]:
+    for n in range(7, 13):
+        assert covering_number(c3(n, 3)).tau == 3
+    for n, k in [(9, 4), (10, 4), (12, 5)]:
         assert covering_number(c3(n, k)).tau == 3
     assert covering_number(full_star(8, 3)).tau == 1
     assert covering_number(family(5, [])).tau == 0

@@ -33,7 +33,6 @@ from kfam.families import (
     mask_of,
     max_degree,
     max_degree_element,
-    popcount,
     restrict_avoid,
     subsets,
 )
@@ -42,11 +41,6 @@ from kfam.families import (
 @given(st.frozensets(st.integers(1, 30), max_size=12))
 def test_mask_elements_round_trip(s):
     assert frozenset(elements_of(mask_of(s))) == s
-
-
-@given(st.integers(0, 2**24 - 1))
-def test_popcount_matches_bit_count(m):
-    assert popcount(m) == bin(m).count("1")
 
 
 @pytest.mark.parametrize(

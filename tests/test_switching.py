@@ -110,6 +110,25 @@ def test_refusal_mid_stage_keeps_the_last_family(fixtures_dir, monkeypatch):
     assert res.family == done[-1][1] != done[0][0]
 
 
+def test_shift_that_drops_tau_aborts_before_another_pass(fixtures_dir, monkeypatch):
+    fam = load_family(fixtures_dir / "switch_shift_n12_k4.fam")
+    drifted = t2(4, fam.n)
+    monkeypatch.setattr(switching, "shift_family", lambda f, i, j: drifted)
+    res = switch_pipeline(fam)
+    assert res.status == "aborted:tau-drifted"
+    assert res.trace[-1]["stage"] == "shift"
+    assert res.passes == 1
+    assert res.family == drifted
+
+
+def test_no_shift_that_moves_a_set_aborts(fixtures_dir, monkeypatch):
+    fam = load_family(fixtures_dir / "switch_shift_n12_k4.fam")
+    monkeypatch.setattr(switching, "shift_family", lambda f, i, j: f)
+    res = switch_pipeline(fam)
+    assert res.status == "aborted:shift-stuck"
+    assert all(entry["stage"] != "shift" for entry in res.trace)
+
+
 def test_pipeline_rejects_k3_diversity():
     # at k=3 the hypothesis cap is C(n-5,0)=1 while any covering-number-3
     # family keeps at least two sets off the pivot, so the stratum is empty
