@@ -4,16 +4,17 @@ Everything is exact: big integers, or rationals where the constant sqrt(e)
 appears.  It enters only through a hard-coded certified enclosure, and each
 comparison is made against the adverse end of that enclosure, so a reported
 pass at a grid point is a proof for that point.  Each inequality is one row
-of GRID_CHECKS: its grid of points, its hypotheses and its comparison.  A
-point that misses a hypothesis is skipped, not evaluated, and names the
-first hypothesis it misses.
+of GRID_CHECKS: its dimensions, its hypotheses, each a bound on one
+dimension, and its check, which runs a line (the innermost dimension at
+fixed outer values) at a time.  A point that misses a hypothesis is
+skipped, not evaluated, and names the first hypothesis it misses.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from math import inf
 
 from .errors import DomainError
 from .formulas import binom, f_of_z, f_values, fprime3, size_c3, thm1_bound
@@ -80,21 +81,29 @@ def _g(n: int, k: int, i: int) -> int:
     return i**i * binom(n - i, k - i)
 
 
-# each check maps a point's parameters, inside its hypotheses, to
-# (lhs, rhs, passed); lhs/rhs hold the compared integer tuples so a failure
-# is diagnosable from the report alone
+# A row's check runs one line: given the outer values p and the line's values
+# inside every hypothesis, it returns one pass flag per value and sides(j),
+# the compared integer tuples (lhs, rhs) of the j-th value, asked only for
+# points the report keeps, so a failure is diagnosable from the report alone.
 
-@lru_cache(maxsize=1)
-def _f_mono_line(k: int, s: int, m: int) -> tuple:
-    """f(2..s+1) and the step C(m-s-2, k-3) on a (k, s, m) line, which z walks innermost."""
-    return tuple(f_values(m, s, k, range(2, s + 2))), binom(m - s - 2, k - 3)
+def _each(compare):
+    """The line check that runs compare, which maps one point to
+    (lhs, rhs, passed), on each point of the line by itself."""
+    def check(p, dim, values):
+        results = [compare({**p, dim: v}) for v in values]
+        return [r[2] for r in results], lambda j: results[j][:2]
+    return check
 
 
-def _check_f_mono(p: dict) -> tuple:
-    k, s, m, z = p["k"], p["s"], p["m"], p["z"]
-    f, step = _f_mono_line(k, s, m)
-    diff = f[z - 3] - f[z - 2]
-    return (diff, step), (step, 1), diff >= step and step > 1
+def _check_f_mono(p, dim, zs):
+    """f(z-1) - f(z) against the step C(m-s-2, k-3), with f(2..s+1) computed
+    once for the (k, s, m) line."""
+    k, s, m = p["k"], p["s"], p["m"]
+    f = f_values(m, s, k, range(2, s + 2))
+    step = binom(m - s - 2, k - 3)
+    def sides(j):
+        return (f[zs[j] - 3] - f[zs[j] - 2], step), (step, 1)
+    return [step > 1 and f[z - 3] - f[z - 2] >= step for z in zs], sides
 
 
 def _check_f3_fprime3(p: dict) -> tuple:
@@ -157,95 +166,115 @@ def _check_final_compare(p: dict) -> tuple:
     return (lhs1, lhs2), (rhs1, rhs2), lhs1 > rhs1 and lhs2 > rhs2
 
 
-def _grid_f_mono(ov):
-    for k in ov.get("k", range(4, 41)):
-        for s in ov.get("s", range(2, k + 1)):
-            for m in ov.get("m", range(k + s, k + s + 41)):
-                for z in ov.get("z", range(3, s + 2)):
-                    yield {"k": k, "s": s, "m": m, "z": z}
+# a dimension is (name, default values given the outer values p)
+_K4_40 = ("k", lambda p: range(4, 41))
+_M41 = ("m", lambda p: range(p["k"] + p["s"], p["k"] + p["s"] + 41))
+_K_BIG = ("k", lambda p: (100, 120))
+_N_BIG = ("n", lambda p: (2 * (p["k"] - 1) ** 2 + 1, 3 * (p["k"] - 1) ** 2))
 
+# a hypothesis (reason, dim, lo, hi) holds when lo(p) <= p[dim] <= hi(p), a
+# bound of None being no bound; lo and hi read only dimensions outer to dim,
+# and _BIG is the large-k regime
+_K4 = ("needs k >= 4", "k", lambda p: 4, None)
+_K100 = ("needs k >= 100", "k", lambda p: 100, None)
+_M_KS = ("needs m >= k+s", "m", lambda p: p["k"] + p["s"], None)
+_BIG = (_K100, ("needs n > 2(k-1)^2", "n", lambda p: 2 * (p["k"] - 1) ** 2 + 1, None))
+_S2 = ("needs 2 <= s <= k", "s", lambda p: 2, lambda p: p["k"])
+_S4 = ("needs 4 <= s <= k", "s", lambda p: 4, lambda p: p["k"])
+_Z3 = ("needs 3 <= z <= s+1", "z", lambda p: 3, lambda p: p["s"] + 1)
+_I6 = ("needs 6 <= i <= k", "i", lambda p: 6, lambda p: p["k"])
+_N50K = ("needs n >= 50(k-1)+1", "n", lambda p: 50 * (p["k"] - 1) + 1, None)
+_N2K = ("needs n > 2k", "n", lambda p: 2 * p["k"] + 1, None)
 
-def _grid_f3_fprime3(ov):
-    for k in ov.get("k", range(4, 41)):
-        for s in ov.get("s", range(4, k + 1)):
-            for m in ov.get("m", range(k + s, k + s + 41)):
-                yield {"k": k, "s": s, "m": m}
-
-
-def _nk_grid(n_default):
-    """The (n, k) grid over k = 100, 120 and, for each k, n in n_default(k)."""
-    def _grid(ov):
-        for k in ov.get("k", (100, 120)):
-            for n in ov.get("n", n_default(k)):
-                yield {"n": n, "k": k}
-    return _grid
-
-
-_grid_big_nk = _nk_grid(lambda k: (2 * (k - 1) ** 2 + 1, 3 * (k - 1) ** 2))
-_grid_eqboundf = _nk_grid(lambda k: (50 * (k - 1) + 1, 2 * (k - 1) ** 2))
-_grid_eqboundc2 = _nk_grid(lambda k: (2 * k + 1, 7 * k, 50 * (k - 1)))
-
-
-# a hypothesis is a (reason, test) pair; _BIG is the large-k regime
-_K4 = ("needs k >= 4", lambda p: p["k"] >= 4)
-_K100 = ("needs k >= 100", lambda p: p["k"] >= 100)
-_M_KS = ("needs m >= k+s", lambda p: p["m"] >= p["k"] + p["s"])
-_BIG = (_K100, ("needs n > 2(k-1)^2", lambda p: p["n"] > 2 * (p["k"] - 1) ** 2))
-_S2 = ("needs 2 <= s <= k", lambda p: 2 <= p["s"] <= p["k"])
-_S4 = ("needs 4 <= s <= k", lambda p: 4 <= p["s"] <= p["k"])
-_Z3 = ("needs 3 <= z <= s+1", lambda p: 3 <= p["z"] <= p["s"] + 1)
-_I6 = ("needs 6 <= i <= k", lambda p: 6 <= p["i"] <= p["k"])
-_N50K = ("needs n >= 50(k-1)+1", lambda p: p["n"] >= 50 * (p["k"] - 1) + 1)
-_N2K = ("needs n > 2k", lambda p: p["n"] > 2 * p["k"])
-
-# name -> (grid, hypotheses in the order they are tested, comparison)
+# name -> (dimensions outermost first, hypotheses in the order of their
+# dimensions, line check)
 GRID_CHECKS = {
-    "f-mono": (_grid_f_mono, (_K4, _S2, _M_KS, _Z3), _check_f_mono),
-    "f3-fprime3": (_grid_f3_fprime3, (_K4, _S4, _M_KS), _check_f3_fprime3),
-    "g-ratio": (lambda ov: ({**p, "i": i} for p in _grid_big_nk(ov)
-                            for i in ov.get("i", range(6, p["k"] + 1))),
-                (*_BIG, _I6), _check_g_ratio),
-    "two-g5": (_grid_big_nk, _BIG, _check_two_g5),
-    "eqc3large": (_grid_big_nk, _BIG, _check_eqc3large),
-    "eqboundf": (_grid_eqboundf, (_K100, _N50K), _check_eqboundf),
-    "eqboundc2": (_grid_eqboundc2, (_K4, _N2K), _check_eqboundc2),
-    "peel-combine": (_grid_big_nk, _BIG, _check_peel_combine),
-    "final-compare": (lambda ov: ({"k": k} for k in ov.get("k", (100, 120))),
-                      (_K100,), _check_final_compare),
+    "f-mono": ((_K4_40, ("s", lambda p: range(2, p["k"] + 1)), _M41,
+                ("z", lambda p: range(3, p["s"] + 2))),
+               (_K4, _S2, _M_KS, _Z3), _check_f_mono),
+    "f3-fprime3": ((_K4_40, ("s", lambda p: range(4, p["k"] + 1)), _M41),
+                   (_K4, _S4, _M_KS), _each(_check_f3_fprime3)),
+    "g-ratio": ((_K_BIG, _N_BIG, ("i", lambda p: range(6, p["k"] + 1))),
+                (*_BIG, _I6), _each(_check_g_ratio)),
+    "two-g5": ((_K_BIG, _N_BIG), _BIG, _each(_check_two_g5)),
+    "eqc3large": ((_K_BIG, _N_BIG), _BIG, _each(_check_eqc3large)),
+    "eqboundf": ((_K_BIG, ("n", lambda p: (50 * (p["k"] - 1) + 1, 2 * (p["k"] - 1) ** 2))),
+                 (_K100, _N50K), _each(_check_eqboundf)),
+    "eqboundc2": ((_K_BIG, ("n", lambda p: (2 * p["k"] + 1, 7 * p["k"], 50 * (p["k"] - 1)))),
+                  (_K4, _N2K), _each(_check_eqboundc2)),
+    "peel-combine": ((_K_BIG, _N_BIG), _BIG, _each(_check_peel_combine)),
+    "final-compare": ((_K_BIG,), (_K100,), _each(_check_final_compare)),
 }
 
 
+def _interval(hypotheses, p) -> tuple:
+    """The least and greatest value the hypotheses on one dimension allow at
+    outer values p."""
+    lo, hi = -inf, inf
+    for _, _, low, high in hypotheses:  # a loop: no comprehension frame per line on 3.11
+        lo = max(lo, low(p)) if low else lo
+        hi = min(hi, high(p)) if high else hi
+    return lo, hi
+
+
+def _missed(hypotheses, p, v):
+    """The reason of the first hypothesis on one dimension that v misses."""
+    return next(reason for reason, _, lo, hi in hypotheses
+                if lo and v < lo(p) or hi and v > hi(p))
+
+
 def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> GridReport:
-    """Evaluate one registered inequality point by point over its (possibly
-    overridden) parameter grid.  ranges maps dimension names to explicit
-    value lists, each value listed once.  A point that misses a hypothesis
-    is skipped with the reason of the first it misses.  The report counts
-    every point and keeps those that did not pass, or every point when full
-    is set."""
+    """Evaluate one registered inequality over its (possibly overridden)
+    parameter grid, a line of its innermost dimension at a time.  ranges
+    maps dimension names to explicit value lists, each value listed once.
+    Each hypothesis is tested once, at its dimension's level; a point that
+    misses one is skipped with the reason of the first it misses.  The
+    report counts every point and keeps those that did not pass, or every
+    point when full is set."""
     if name not in GRID_CHECKS:
         raise KeyError(f"unknown inequality id: {name}; known: {sorted(GRID_CHECKS)}")
-    grid, hypotheses, compare = GRID_CHECKS[name]
+    dims, hypotheses, check = GRID_CHECKS[name]
     ranges = ranges or {}
-    dims = next(grid({}))
-    unknown = [dim for dim in ranges if dim not in dims]
+    # a point lists n first, as in C(n, k), then the rest outermost first
+    names = sorted((dim for dim, _ in dims), key=lambda dim: dim != "n")
+    unknown = [dim for dim in ranges if dim not in names]
     if unknown:
         raise DomainError(f"grid {name} has no dimension {', '.join(unknown)};"
-                          f" its dimensions are {', '.join(dims)}")
+                          f" its dimensions are {', '.join(names)}")
     twice = [f"{dim}={v}" for dim, vs in ranges.items() for v, c in Counter(vs).items() if c > 1]
     if twice:
         raise DomainError(f"grid {name} lists {twice[0]} more than once in its ranges")
-    total = checked = passes = 0
-    points = []
-    for params in grid(ranges):
-        total += 1
-        for reason, holds in hypotheses:
-            if not holds(params):
-                points.append(GridPoint(params, skipped=reason))
-                break
-        else:
-            lhs, rhs, passed = compare(params)
-            checked += 1
-            passes += passed
-            if full or not passed:
-                points.append(GridPoint(params, lhs, rhs, passed))
-    return GridReport(name, total, checked, passes, points)
+    on = {dim: [h for h in hypotheses if h[1] == dim] for dim in names}
+    report = GridReport(name)
+    keep = report.points.append
+    p = {}
+
+    def walk(level, skipped):
+        dim, default = dims[level]
+        values = ranges[dim] if dim in ranges else default(p)
+        lo, hi = (inf, -inf) if skipped else _interval(on[dim], p)  # skipped: no value inside
+        if level + 1 < len(dims):
+            for v in values:
+                p[dim] = v
+                walk(level + 1, skipped or (None if lo <= v <= hi else _missed(on[dim], p, v)))
+            return
+        inside = [v for v in values if lo <= v <= hi]
+        passed, sides = check(p, dim, inside) if inside else ((), None)
+        n_passed = sum(passed)
+        report.total += len(values)
+        report.checked += len(inside)
+        report.passed += n_passed
+        if n_passed == len(values) and not full:
+            return
+        j = 0
+        for v in values:
+            p[dim] = v
+            if not lo <= v <= hi:
+                keep(GridPoint({d: p[d] for d in names}, skipped=skipped or _missed(on[dim], p, v)))
+                continue
+            if full or not passed[j]:
+                keep(GridPoint({d: p[d] for d in names}, *sides(j), passed[j]))
+            j += 1
+
+    walk(0, None)
+    return report

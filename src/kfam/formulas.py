@@ -73,7 +73,9 @@ def size_f2prime(m: int, s: int, k: int) -> int:
 def f_values(m: int, s: int, k: int, zs) -> list:
     """Maximum weight profile f(z) of a z-member minimal two-cover paired
     with its cross-meeting (k-1)-sets, for each z (2 <= z <= s+1) of the
-    sequence zs; the z-free terms are computed once.  f(2) = size_f2prime."""
+    sequence zs; the z-free terms are computed once, so the f-mono grid
+    asks for a whole (k, s, m) line in one call.  f(2) = size_f2prime, and
+    by Pascal's rule f(z-1) - f(z) = C(m-s-1, k-2) - C(m-2s+z-3, k-2)."""
     for z in zs:
         if not (2 <= z <= s + 1):
             raise DomainError(f"need 2 <= z <= s+1, got z={z} s={s}")

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
+from kfam.certify import SQRT_E_HI, SQRT_E_LO
 from kfam.errors import DomainError, ScaleError
 from kfam.families import (
     Family,
@@ -23,7 +24,7 @@ from kfam.families import (
     is_intersecting,
     mask_of,
 )
-from kfam.formulas import binom
+from kfam.formulas import binom, f_of_z, fprime3, size_c3, thm1_bound
 from kfam.spread import is_r_spread
 
 ROOT = Path(__file__).parents[1]
@@ -402,3 +403,148 @@ def sum_fprime3(m: int, s: int, k: int) -> int:
 def sum_eqboundc2_layers(n: int, k: int) -> int:
     """The layer sum sum_{i=2}^{k} C(n-k-i, k-2) on the left of eqboundc2."""
     return sum(binom(n - k - i, k - 2) for i in range(2, k + 1))
+
+
+# The grid oracle: each row of kfam.certify.GRID_CHECKS as its inequality
+# reads on paper.  Every point is visited in nesting order, tested against
+# the row's hypotheses in list order and compared on its own, from the
+# closed forms in kfam.formulas; f-mono takes f(z-1) - f(z) from two f_of_z
+# calls.  Nothing is shared between points or lines.
+
+
+def _g(n: int, k: int, i: int) -> int:
+    return i**i * binom(n - i, k - i)
+
+
+def _nk_points(n_default):
+    def points(ov):
+        for k in ov.get("k", (100, 120)):
+            for n in ov.get("n", n_default(k)):
+                yield {"n": n, "k": k}
+    return points
+
+
+def _f_mono_points(ov):
+    for k in ov.get("k", range(4, 41)):
+        for s in ov.get("s", range(2, k + 1)):
+            for m in ov.get("m", range(k + s, k + s + 41)):
+                for z in ov.get("z", range(3, s + 2)):
+                    yield {"k": k, "s": s, "m": m, "z": z}
+
+
+def _f3_fprime3_points(ov):
+    for k in ov.get("k", range(4, 41)):
+        for s in ov.get("s", range(4, k + 1)):
+            for m in ov.get("m", range(k + s, k + s + 41)):
+                yield {"k": k, "s": s, "m": m}
+
+
+def _f_mono(p):
+    k, s, m, z = p["k"], p["s"], p["m"], p["z"]
+    diff = f_of_z(m, s, k, z - 1) - f_of_z(m, s, k, z)
+    step = binom(m - s - 2, k - 3)
+    return (diff, step), (step, 1), diff >= step and step > 1
+
+
+def _f3_fprime3(p):
+    k, s, m = p["k"], p["s"], p["m"]
+    diff = f_of_z(m, s, k, 3) - fprime3(m, s, k)
+    target = binom(m - s - 3, k - 3)
+    return (diff, target), (target, 1), diff == target and target >= 1
+
+
+def _eqc3large(p):
+    n, k = p["n"], p["k"]
+    lhs = size_c3(n, k) * SQRT_E_LO.numerator
+    rhs = (k * k - k + 1) * binom(n - 3, k - 3) * SQRT_E_LO.denominator
+    return (lhs,), (rhs,), lhs >= rhs
+
+
+def _eqboundf(p):
+    n, k = p["n"], p["k"]
+    lhs1, rhs1 = thm1_bound(n, k, 4), 5 * binom(n - 2, k - 2)
+    lhs2, rhs2 = 50 * binom(n - 2, k - 2), binom(n - 1, k - 1)
+    return (lhs1, lhs2), (rhs1, rhs2), lhs1 <= rhs1 and lhs2 <= rhs2
+
+
+def _eqboundc2(p):
+    n, k = p["n"], p["k"]
+    lhs1 = binom(n - k - 2, k - 2) + sum_eqboundc2_layers(n, k)
+    rhs1 = binom(n - k, k - 1)
+    lhs2, rhs2 = binom(n - 1, k - 1) - 2 * binom(n - k, k - 1), size_c3(n, k)
+    return (lhs1, lhs2), (rhs1, rhs2), lhs1 <= rhs1 and lhs2 <= rhs2
+
+
+def _peel_combine(p):
+    n, k = p["n"], p["k"]
+    lhs = 3**5 * binom(n - 3, k - 3) + 4**5 * binom(n - 4, k - 4) + 2 * _g(n, k, 5)
+    rhs = 250 * binom(n - 3, k - 3)
+    return (lhs,), (rhs,), lhs <= rhs
+
+
+def _final_compare(p):
+    k = p["k"]
+    lhs1, rhs1 = (k * k - k + 1) * SQRT_E_HI.denominator, 50 * k * SQRT_E_HI.numerator
+    lhs2, rhs2 = 50 * k, 4 * k + 250
+    return (lhs1, lhs2), (rhs1, rhs2), lhs1 > rhs1 and lhs2 > rhs2
+
+
+def _two_g5(p):
+    lhs, rhs = 2 * _g(p["n"], p["k"], 5), binom(p["n"] - 5, p["k"] - 3)
+    return (lhs,), (rhs,), lhs < rhs
+
+
+def _g_ratio(p):
+    lhs, rhs = 2 * _g(p["n"], p["k"], p["i"]), _g(p["n"], p["k"], p["i"] - 1)
+    return (lhs,), (rhs,), lhs < rhs
+
+
+_K4 = ("needs k >= 4", lambda p: p["k"] >= 4)
+_K100 = ("needs k >= 100", lambda p: p["k"] >= 100)
+_M_KS = ("needs m >= k+s", lambda p: p["m"] >= p["k"] + p["s"])
+_BIG = (_K100, ("needs n > 2(k-1)^2", lambda p: p["n"] > 2 * (p["k"] - 1) ** 2))
+_big_nk = _nk_points(lambda k: (2 * (k - 1) ** 2 + 1, 3 * (k - 1) ** 2))
+
+# name -> (points of a ranges override, hypotheses in the order tested, comparison)
+POINTWISE_ROWS = {
+    "f-mono": (_f_mono_points, (_K4, ("needs 2 <= s <= k", lambda p: 2 <= p["s"] <= p["k"]), _M_KS,
+                                ("needs 3 <= z <= s+1", lambda p: 3 <= p["z"] <= p["s"] + 1)),
+               _f_mono),
+    "f3-fprime3": (_f3_fprime3_points,
+                   (_K4, ("needs 4 <= s <= k", lambda p: 4 <= p["s"] <= p["k"]), _M_KS), _f3_fprime3),
+    "g-ratio": (lambda ov: ({**p, "i": i} for p in _big_nk(ov)
+                            for i in ov.get("i", range(6, p["k"] + 1))),
+                (*_BIG, ("needs 6 <= i <= k", lambda p: 6 <= p["i"] <= p["k"])), _g_ratio),
+    "two-g5": (_big_nk, _BIG, _two_g5),
+    "eqc3large": (_big_nk, _BIG, _eqc3large),
+    "eqboundf": (_nk_points(lambda k: (50 * (k - 1) + 1, 2 * (k - 1) ** 2)),
+                 (_K100, ("needs n >= 50(k-1)+1", lambda p: p["n"] >= 50 * (p["k"] - 1) + 1)),
+                 _eqboundf),
+    "eqboundc2": (_nk_points(lambda k: (2 * k + 1, 7 * k, 50 * (k - 1))),
+                  (_K4, ("needs n > 2k", lambda p: p["n"] > 2 * p["k"])), _eqboundc2),
+    "peel-combine": (_big_nk, _BIG, _peel_combine),
+    "final-compare": (lambda ov: ({"k": k} for k in ov.get("k", (100, 120))), (_K100,),
+                      _final_compare),
+}
+
+
+def pointwise_grid(name: str, ranges: dict | None = None, full: bool = False) -> dict:
+    """certify_grid(name, ranges, full).to_json(), computed one point at a
+    time: a point that misses a hypothesis is skipped with the reason of the
+    first it misses in list order; the others are compared on their own."""
+    points, hypotheses, compare = POINTWISE_ROWS[name]
+    total = checked = passed = 0
+    kept = []
+    for p in points(ranges or {}):
+        total += 1
+        reason = next((reason for reason, holds in hypotheses if not holds(p)), None)
+        if reason:
+            kept.append({"point": p, "lhs": [], "rhs": [], "pass": False, "skipped": reason})
+            continue
+        lhs, rhs, ok = compare(p)
+        checked += 1
+        passed += ok
+        if full or not ok:
+            kept.append({"point": p, "lhs": list(lhs), "rhs": list(rhs), "pass": ok})
+    return {"name": name, "total": total, "checked": checked, "passed": passed,
+            "skipped": total - checked, "all_pass": 0 < checked == passed, "points": kept}

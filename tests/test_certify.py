@@ -5,11 +5,13 @@ series for e with an explicit tail bound, entirely in rational arithmetic,
 so the adverse-end comparisons in the grid checks rest on a proved
 inclusion.
 """
+import json
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from helpers import sum_eqboundc2_layers
+from helpers import POINTWISE_ROWS, pointwise_grid, sum_eqboundc2_layers
 
 from kfam.certify import (
     GRID_CHECKS,
@@ -54,7 +56,8 @@ def test_unknown_id_rejected():
 
 @pytest.mark.parametrize(
     "name",
-    ["g-ratio", "two-g5", "eqc3large", "eqboundf", "eqboundc2", "peel-combine", "final-compare"],
+    ["f3-fprime3", "g-ratio", "two-g5", "eqc3large", "eqboundf", "eqboundc2", "peel-combine",
+     "final-compare"],
 )
 def test_default_small_grids_pass(name):
     report = certify_grid(name)
@@ -78,24 +81,84 @@ def test_f_mono_point_values():
     assert pt.passed
 
 
-def test_f_mono_lines_match_pointwise_reference_in_any_order():
-    # out-of-order ranges with skipped points (s > k, m < k+s, z > s+1),
-    # then every point again as its own one-point grid in reverse order
-    ranges = {"k": [9, 5], "s": [4, 9, 2], "m": [30, 12, 20, 21], "z": [6, 3, 4]}
-    report = certify_grid("f-mono", ranges=ranges, full=True)
-    one_point = [certify_grid("f-mono", {d: [v] for d, v in p.params.items()}, full=True)
-                 .points[0] for p in reversed(report.points)]
-    assert report.total == len(report.points) == 2 * 3 * 4 * 3
-    assert 0 < report.checked < report.total
-    for p in report.points + one_point[::-1]:
-        k, s, m, z = (p.params[d] for d in "ksmz")
-        if p.skipped:
-            assert not (k >= 4 and 2 <= s <= k and m >= k + s and 3 <= z <= s + 1)
-            continue
-        diff = f_of_z(m, s, k, z - 1) - f_of_z(m, s, k, z)
-        step = binom(m - s - 2, k - 3)
-        assert (p.lhs, p.rhs, p.passed) == ((diff, step), (step, 1), diff >= step > 1), p.params
-    assert [p.params for p in report.points] == [p.params for p in one_point[::-1]]
+# Per row, values for each dimension that straddle every hypothesis bound,
+# so that seeded overrides drawn from them miss each hypothesis somewhere.
+_BIG_NS = [2 * (k - 1) ** 2 + d for k in (99, 100, 101, 120) for d in (-1, 0, 1, 2)]
+_BIG_POOL = {"k": [98, 99, 100, 101, 120], "n": _BIG_NS + [3 * 99**2, 3 * 119**2]}
+_POOLS = {
+    "f-mono": {"k": list(range(2, 10)), "s": list(range(0, 11)), "m": list(range(0, 25)),
+               "z": list(range(0, 12))},
+    "f3-fprime3": {"k": list(range(2, 10)), "s": list(range(2, 11)), "m": list(range(4, 30))},
+    "g-ratio": {**_BIG_POOL, "i": [4, 5, 6, 7, 99, 100, 101, 119, 120, 121]},
+    "two-g5": _BIG_POOL,
+    "eqc3large": _BIG_POOL,
+    "peel-combine": _BIG_POOL,
+    "eqboundf": {"k": [98, 99, 100, 101, 120],
+                 "n": [50 * (k - 1) + d for k in (99, 100, 101, 120) for d in (-1, 0, 1)]
+                 + [2 * 99**2, 2 * 119**2]},
+    "eqboundc2": {"k": [2, 3, 4, 5, 6, 7, 8, 100], "n": list(range(0, 41)) + [200, 201, 202, 700]},
+    "final-compare": {"k": [95, 98, 99, 100, 101, 105, 120]},
+}
+# the default grids, f-mono cut to k <= 8; then a case with skipped points
+# (s > k, m < k+s, z > s+1) in shuffled order
+_FIXED = {"f-mono": [{"k": list(range(4, 9))},
+                     {"k": [9, 5], "s": [4, 9, 2], "m": [30, 12, 20, 21], "z": [6, 3, 4]}]}
+
+
+def _seeded_ranges(name, seed):
+    """A shuffled override: k always, every other dimension four times in
+    five, each with one to five values from its pool."""
+    rng = random.Random(f"{name}-{seed}")
+    return {dim: rng.sample(pool, rng.randint(1, min(5, len(pool))))
+            for dim, pool in _POOLS[name].items() if dim == "k" or rng.random() < 0.8}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE_ROWS))
+def test_grid_matches_pointwise_reference(name):
+    cases = _FIXED.get(name, [{}]) + [_seeded_ranges(name, seed) for seed in range(50)]
+    reasons = set()
+    for ranges in cases:
+        for full in (False, True):
+            report = certify_grid(name, ranges, full=full).to_json()
+            reference = pointwise_grid(name, ranges, full)
+            assert report == reference, (ranges, full)
+            # key order too: a point lists its dimensions as the reference does
+            assert json.dumps(report) == json.dumps(reference), (ranges, full)
+            reasons |= {p["skipped"] for p in report["points"] if "skipped" in p}
+    # every hypothesis of the row was missed somewhere, so every bound was crossed
+    assert reasons == {reason for reason, _ in POINTWISE_ROWS[name][1]}
+
+
+def _declaration_problems(dims, hypotheses):
+    """Why testing each hypothesis once at its dimension's level would not
+    be exact for a row: a hypothesis on a dimension the row lacks, or out of
+    its dimensions' order, or a default range or bound that reads a
+    dimension not outer to its own."""
+    names = [dim for dim, _ in dims]
+    problems = [reason for reason, dim, _, _ in hypotheses if dim not in names]
+    levels = [names.index(dim) for _, dim, _, _ in hypotheses if dim in names]
+    if levels != sorted(levels):
+        problems.append(f"hypotheses on {levels} out of dimension order")
+    p = {}
+    for dim, default in dims:
+        try:
+            for _, _, lo, hi in (h for h in hypotheses if h[1] == dim):
+                [bound(p) for bound in (lo, hi) if bound]
+            p[dim] = next(iter(default(p)))
+        except KeyError as missing:
+            problems.append(f"{dim} reads {missing}, not an outer dimension")
+    return problems
+
+
+def test_rows_declare_hypotheses_in_dimension_order():
+    for name, (dims, hypotheses, _) in GRID_CHECKS.items():
+        assert _declaration_problems(dims, hypotheses) == [], name
+    dims, hypotheses, _ = GRID_CHECKS["f-mono"]
+    assert _declaration_problems(dims, hypotheses[::-1])
+    assert _declaration_problems(dims[::-1], hypotheses)
+    assert _declaration_problems(dims[:3], hypotheses)
+    dims, hypotheses, _ = GRID_CHECKS["g-ratio"]
+    assert _declaration_problems(dims, (hypotheses[0], hypotheses[2], hypotheses[1]))
 
 
 def test_out_of_hypothesis_points_skipped_with_reason():

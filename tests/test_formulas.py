@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import sum_f_of_z, sum_fprime3, sum_size_c3, sum_size_f2prime
-from kfam.certify import GRID_CHECKS
+from kfam.certify import GRID_CHECKS, certify_grid
 from kfam.errors import DomainError
 from kfam.families import mask_of
 from kfam.formulas import (
@@ -185,9 +185,11 @@ def test_closed_forms_match_layer_sums():
     for k in range(3, 41):
         for n in range(2 * k, 2 * k + 41):
             assert size_c3(n, k) == sum_size_c3(n, k), (n, k)
-    # every (n, k) point of the registered grids, the big-k ones included
-    big = {(p["n"], p["k"]) for grid, _, _ in GRID_CHECKS.values() if "n" in next(grid({}))
-           for p in grid({})}
+    # every (n, k) point of the registered grids, the big-k ones included;
+    # f-mono and f3-fprime3 range over (k, s, m) and z instead
+    big = {(p.params["n"], p.params["k"]) for name in GRID_CHECKS
+           if name not in ("f-mono", "f3-fprime3")
+           for p in certify_grid(name, full=True).points if "n" in p.params}
     assert len(big) == 14
     for n, k in big:
         assert size_c3(n, k) == sum_size_c3(n, k), (n, k)
