@@ -16,7 +16,6 @@ from operator import and_, itemgetter
 from .errors import DomainError, InvariantError, ScaleError
 from .families import (
     Family,
-    canonical_form,
     elements_of,
     full_mask,
     is_intersecting,
@@ -211,6 +210,39 @@ def _count_vectors(z: int, s: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
+@cache
+def _type_order(z: int) -> tuple[int, ...]:
+    """The types of z members (nonempty proper subsets, as bitmasks): those
+    holding member 1 first, then within each part member 2, and so on."""
+    return tuple(sorted(range(1, (1 << z) - 1), key=lambda t: [not t >> i & 1 for i in range(z)]))
+
+
+# A census class is laid out from one of its count vectors by giving each
+# type, in _type_order, the next block of labels; elements in no member take
+# the labels left over at the top.  The least laid list over the z! member
+# orders is the canonical form L* = (M1 < ... < Mz), numbering the members by
+# their rank in L*.  Every laid list is a relabeling of the class, so none
+# lies below L*.  Suppose M1..Mj-1 are unions of consecutive cells, one cell
+# for each in/out pattern on those members, in _type_order order, while Mj's
+# elements do not take the lowest labels in some cell or in the labels above
+# the cells.  Exchanging labels within that cell lowers Mj and moves none of
+# M1..Mj-1, so the sorted list falls at or before position j, and L* was not
+# least.  By induction L* is laid out from the count vector in its own
+# member order, one image of the vector; within a final cell the elements
+# are twins, so how they share its labels does not matter.
+def _lay(vec, order, z: int) -> tuple[int, ...]:
+    masks, used = [0] * z, 0
+    for t in order:
+        count = vec[t - 1]
+        if count:
+            block = ((1 << count) - 1) << used
+            used += count
+            for i in range(z):
+                if t >> i & 1:
+                    masks[i] |= block
+    return tuple(sorted(masks))
+
+
 def enumerate_minimal_tau2(m: int, s: int, intersecting_only: bool = False) -> list[Family]:
     """All minimal families of covering number 2 with s-element members over
     [m], one canonical representative per isomorphism class, sorted by
@@ -228,6 +260,9 @@ def enumerate_minimal_tau2(m: int, s: int, intersecting_only: bool = False) -> l
     the census enumerates the vectors and keeps the least one of each
     orbit under the z! member permutations.  Member i holds the z - 1
     disjoint pools of the others, so z <= s + 1, and z <= 6 in range.
+    Each kept class is laid out from its vector under every member order,
+    and the least laid member list is its canonical form (see _lay): no
+    canonical search runs.
     """
     if not 1 <= s <= m:
         raise DomainError(f"need 1 <= s <= m, got m={m} s={s}")
@@ -237,20 +272,14 @@ def enumerate_minimal_tau2(m: int, s: int, intersecting_only: bool = False) -> l
     found = []
     for z in range(2, s + 2):
         images = _member_permutations(z)
+        order = _type_order(z)
         for vec in _count_vectors(z, s, m):
             if any(image(vec) < vec for image in images):
                 continue
-            masks, used = [0] * z, 0
-            for t, count in enumerate(vec, 1):
-                block = ((1 << count) - 1) << used
-                used += count
-                for i in range(z):
-                    if t >> i & 1:
-                        masks[i] |= block
-            fam = Family.from_masks(m, masks)
+            fam = Family(m, min(_lay(image(vec), order, z) for image in images))
             if intersecting_only and not is_intersecting(fam):
                 continue
-            found.append(canonical_form(fam))
+            found.append(fam)
     found.sort(key=lambda f: (len(f.members), f.members))
     return found
 

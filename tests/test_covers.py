@@ -26,6 +26,10 @@ from helpers import (
 )
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.covers import (
+    _count_vectors,
+    _lay,
+    _member_permutations,
+    _type_order,
     count_hitting_sets,
     covering_number,
     enumerate_minimal_tau2,
@@ -233,6 +237,33 @@ def test_census_intersecting_filter():
     assert {perm_canonical(c) for c in meeting} <= {perm_canonical(c) for c in every}
     assert all(is_intersecting(c) for c in meeting)
     assert any(not is_intersecting(c) for c in every)
+
+
+def test_census_type_order_puts_member_one_first():
+    assert _type_order(2) == (1, 2)
+    assert _type_order(3) == (3, 5, 1, 6, 2, 4)
+
+
+@pytest.mark.parametrize("m,s", [(9, 5), (8, 4)])
+def test_census_layout_is_a_relabeling_in_consecutive_cells(m, s):
+    for z in range(2, s + 2):
+        images = _member_permutations(z)
+        order = _type_order(z)
+        for vec in _count_vectors(z, s, m):
+            if any(image(vec) < vec for image in images):
+                continue
+            orbit = {image(vec) for image in images}
+            for image in images:
+                laid = _lay(image(vec), order, z)
+                assert list(laid) == sorted(laid)
+                # each element's in/out pattern on the members, by label
+                cells = [sum(1 << i for i, x in enumerate(laid) if x >> e & 1) for e in range(m)]
+                counts = [cells.count(t) for t in range(1, 1 << z)]
+                assert counts[-1] == 0 and tuple(counts[:-1]) in orbit
+                # every pattern takes one run of labels, the empty one last
+                runs = [t for e, t in enumerate(cells) if e == 0 or cells[e - 1] != t]
+                assert len(runs) == len(set(runs))
+                assert 0 not in cells or runs[-1] == 0
 
 
 def test_census_frozen_counts():

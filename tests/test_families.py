@@ -185,9 +185,17 @@ def test_canonical_matches_permutation_orbit_with_twins(seed, points):
 
 
 def test_census_classes_are_their_own_canonical_forms():
+    # the census lays its forms out from count vectors; the canonical search
+    # referees all 491 classes of its range
     rng = random.Random(95)
-    for h in enumerate_minimal_tau2(9, 5):
-        assert canonical_form(shuffled_copy(rng, h)) == h
+    seen = 0
+    for s in range(1, 6):
+        for m in range(s, 13):
+            for mode in (False, True):
+                for h in enumerate_minimal_tau2(m, s, intersecting_only=mode):
+                    assert canonical_form(shuffled_copy(rng, h)) == h, (m, s, mode)
+                    seen += 1
+    assert seen == 491
 
 
 @pytest.mark.parametrize("build", [c3, full_star], ids=["c3", "star"])
