@@ -7,12 +7,11 @@ score, and the switching inputs that reach each stage of the exchange
 pipeline, so regressions in any of those show up as fixture diffs.
 """
 import json
-from itertools import combinations
 from pathlib import Path
 
-from kfam.constructions import c3, t2
+from kfam.constructions import _through_one, c3, t2
 from kfam.covers import covering_number
-from kfam.families import Family, mask_of
+from kfam.families import mask_of
 from kfam.fileio import save_family
 from kfam.search import find_tau_dropping_shift, lemmin_oracle
 from kfam.shifting import shift_family
@@ -51,13 +50,6 @@ SWITCH_INPUTS = {
 }
 
 
-def pivot_completion(n: int, k: int, avoiders) -> Family:
-    """The given sets plus every k-set through element 1 that meets all of them."""
-    avoid = [mask_of(a) for a in avoiders]
-    through = (mask_of((1,) + c) for c in combinations(range(2, n + 1), k - 1))
-    return Family.from_masks(n, avoid + [m for m in through if all(m & a for a in avoid)])
-
-
 def main() -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     (OUT / "lemmin_argmax").mkdir(exist_ok=True)
@@ -90,7 +82,8 @@ def main() -> None:
         assert len(classes) == 1
         save_family(classes[0], OUT / "lemmin_argmax" / f"intersecting_m{m}_s4_k4.fam")
     for name, (n, k, avoiders) in SWITCH_INPUTS.items():
-        save_family(pivot_completion(n, k, avoiders), OUT / f"{name}.fam")
+        fam = _through_one(n, k, [mask_of(a) for a in avoiders], "switching input")
+        save_family(fam, OUT / f"{name}.fam")
 
     print(f"fixtures written under {OUT}")
 

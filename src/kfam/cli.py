@@ -13,9 +13,12 @@ which is a bug.  On exit 3 the report holds
 place of results and checks.
 
 Every subcommand and mode is one row of ``COMMANDS``; its handler returns
-(params, results, checks), and ``run`` times it and prints the report.
-``run`` may be called any number of times in one process: the parser is
-built on the first call, and each call looks its handler up in ``COMMANDS``.
+(params, results, checks), and ``run`` times it and prints the report.  For
+a command with a ``family`` argument, ``run`` loads the file, passes the
+family (None without a file) to handler(args, fam) and puts the file first
+in the params.  ``run`` may be called any number of times in one process:
+the parser is built on the first call, and each call looks its handler up
+in ``COMMANDS``.
 """
 from __future__ import annotations
 
@@ -61,10 +64,6 @@ from .spread import is_r_spread, peel
 from .switching import switch_pipeline
 
 SCHEMA = "kfam-report/1"
-
-
-def _sets(fam: Family) -> list:
-    return [list(t) for t in fam.sets()]
 
 
 def _check(name: str, passed: bool, lhs, rhs) -> dict:
@@ -123,21 +122,9 @@ def _cmd_construct(args):
     fam = _lookup(CONSTRUCTIONS, args.which, args, _CONSTRUCT_OPTIONS, "construct")(args)
     if args.canonical:
         fam = canonical_form(fam)
-    results = {"n": fam.n, "size": len(fam.members), "members": _sets(fam)}
+    results = {"n": fam.n, "size": len(fam.members), "members": fam.sets()}
     _write_output(args, results, fam)
     return _given(args), results, []
-
-
-def _on_file(handler, census=None):
-    """The (args) handler of a subcommand that reads a family file: it loads
-    the file, passes the family to handler(args, fam) and puts the file
-    first in the params; without a file it runs census(args)."""
-    def run_on_file(args):
-        if args.family is None:
-            return census(args)
-        params, results, checks = handler(args, load_family(args.family))
-        return {"family": args.family, **params}, results, checks
-    return run_on_file
 
 
 def _cmd_stats(args, fam):
@@ -151,7 +138,7 @@ def _cmd_stats(args, fam):
         "max_degree": max_degree(fam),
         "max_degree_element": max_degree_element(fam),
         "diversity": diversity(fam),
-        "members": _sets(fam),
+        "members": fam.sets(),
     }
     return {"canonical": True} if args.canonical else {}, results, []
 
@@ -161,7 +148,7 @@ def _cmd_tau(args, fam):
     tau = res.tau
     results = {
         "tau": tau if tau != float("inf") else "inf",
-        "witness_cover": list(elements_of(res.witness_cover)) if res.witness_cover is not None else None,
+        "witness_cover": elements_of(res.witness_cover) if res.witness_cover is not None else None,
         "explored_nodes": res.explored_nodes,
     }
     checks = []
@@ -175,14 +162,16 @@ def _cmd_hitcount(args, fam):
 
 
 def _cmd_minimal_tau2(args, fam):
+    if fam is None:
+        return _cmd_census(args)
     if (args.m, args.s, args.intersecting_only) != (None, None, False):
         raise DomainError("minimal-tau2 takes --m, --s, --intersecting-only only without a file")
     sub = minimal_tau2_subfamily(fam)
     if sub is None:
         return {}, {"subfamily": None, "note": "covering number below 2"}, []
     results = {
-        "subfamily": _sets(sub.subfamily),
-        "representative_pools": [list(p) for p in sub.pools],
+        "subfamily": sub.subfamily.sets(),
+        "representative_pools": sub.pools,
     }
     return {}, results, []
 
@@ -195,7 +184,7 @@ def _cmd_census(args):
         "m": args.m,
         "s": args.s,
         "class_count": len(classes),
-        "classes": [_sets(c) for c in classes],
+        "classes": [c.sets() for c in classes],
     }
     checks = [
         _check("member-bound", all(len(c.members) <= args.s + 1 for c in classes),
@@ -209,7 +198,7 @@ def _cmd_shift(args, fam):
     results = {
         "size": len(out.members),
         "changed": out != fam,
-        "members": _sets(out),
+        "members": out.sets(),
     }
     _write_output(args, results, out)
     checks = [_check("size-preserved", len(out.members) == len(fam.members),
@@ -224,7 +213,7 @@ def _cmd_switch(args, fam):
         "passes": res.passes,
         "size_before": len(fam.members),
         "size_after": len(res.family.members),
-        "members": _sets(res.family),
+        "members": res.family.sets(),
     }
     _write_output(args, results, res.family if res.converged else None)
     _write_trace(args, results, res.trace)
@@ -244,12 +233,9 @@ def _cmd_peel(args, fam):
         "reductions": len(trace.reduction_log),
     }
     _write_trace(args, results, {
-        "layers": {str(i): _sets(w) for i, w in trace.layers.items()},
-        "residues": {str(i): _sets(r) for i, r in trace.residues.items()},
-        "reduction_log": [
-            [list(elements_of(old)), list(elements_of(new))]
-            for old, new in trace.reduction_log
-        ],
+        "layers": {str(i): w.sets() for i, w in trace.layers.items()},
+        "residues": {str(i): r.sets() for i, r in trace.residues.items()},
+        "reduction_log": [(elements_of(old), elements_of(new)) for old, new in trace.reduction_log],
     })
     checks = [
         _check(f"layer-bound-{i}", len(w.members) <= i**i, len(w.members), i**i)
@@ -267,7 +253,7 @@ def _cmd_spread(args, fam):
     results = {
         "r": str(r),
         "spread": res.ok,
-        "violator": list(res.violator) if res.violator is not None else None,
+        "violator": res.violator,
     }
     return {"r": str(r)}, results, [_check("r-spread", res.ok, res.lhs, res.rhs)]
 
@@ -350,7 +336,7 @@ def _search_cnkt(args):
     res = max_intersecting_tau(args.n, args.k, args.t, all_optima=args.all_optima)
     results = {
         "optimum": res.optimum,
-        "witnesses": [_sets(w) for w in res.witnesses],
+        "witnesses": [w.sets() for w in res.witnesses],
         "nodes_explored": res.nodes_explored,
         "pruned": res.pruned,
     }
@@ -360,7 +346,7 @@ def _search_cnkt(args):
 def _search_lemmin(args):
     best, argmax = lemmin_oracle(args.m, args.s, args.k, intersecting_only=args.intersecting_only)
     params = {"m": args.m, "s": args.s, "k": args.k, "intersecting_only": args.intersecting_only}
-    return params, {"best": best, "argmax_classes": [_sets(h) for h in argmax]}, []
+    return params, {"best": best, "argmax_classes": [h.sets() for h in argmax]}, []
 
 
 def _ints(names, **kwargs) -> dict:
@@ -376,23 +362,22 @@ COMMANDS = {
     ("construct",): (_cmd_construct, "build a named family", {
         "which": {"choices": list(CONSTRUCTIONS)}, **_ints(_CONSTRUCT_OPTIONS), **_OUTPUT,
         "--canonical": _FLAG}),
-    ("stats",): (_on_file(_cmd_stats), "basic invariants of a family file", {
+    ("stats",): (_cmd_stats, "basic invariants of a family file", {
         **_FILE, "--canonical": _FLAG}),
-    ("tau",): (_on_file(_cmd_tau), "exact covering number", {
+    ("tau",): (_cmd_tau, "exact covering number", {
         **_FILE, "--expect": {"type": int}}),
-    ("hitcount",): (_on_file(_cmd_hitcount), "count t-subsets meeting every member", {
+    ("hitcount",): (_cmd_hitcount, "count t-subsets meeting every member", {
         **_FILE, **_ints(("t",), required=True)}),
-    ("minimal-tau2",): (_on_file(_cmd_minimal_tau2, census=_cmd_census),
-                        "minimal two-cover subfamily / class census", {
+    ("minimal-tau2",): (_cmd_minimal_tau2, "minimal two-cover subfamily / class census", {
         "family": {"nargs": "?"}, **_ints(("m", "s")), "--intersecting-only": _FLAG}),
-    ("shift",): (_on_file(_cmd_shift), "apply one (i,j)-compression", {
+    ("shift",): (_cmd_shift, "apply one (i,j)-compression", {
         **_FILE, **_ints(("i", "j"), required=True), **_OUTPUT}),
-    ("switch",): (_on_file(_cmd_switch), "run the exchange pipeline to a fixed point", {
+    ("switch",): (_cmd_switch, "run the exchange pipeline to a fixed point", {
         **_FILE, "--trace": {"metavar": "FILE", "help": "write the exchange trace as JSON"},
         **_OUTPUT}),
-    ("peel",): (_on_file(_cmd_peel), "layer decomposition with reduction", {
+    ("peel",): (_cmd_peel, "layer decomposition with reduction", {
         **_FILE, "--trace": {"metavar": "FILE", "help": "write layers and reductions as JSON"}}),
-    ("spread",): (_on_file(_cmd_spread), "check r-spreadness", {
+    ("spread",): (_cmd_spread, "check r-spreadness", {
         **_FILE, "--r": {"required": True, "help": "ratio, e.g. 2 or 7/2"}}),
     ("verify",): (None, "formula identities and inequality grids", {}),
     ("verify", "formula"): (_verify_formula, None, {
@@ -433,7 +418,13 @@ def run(argv) -> int:
     handler = COMMANDS[(args.command, args.mode) if "mode" in args else (args.command,)][0]
     t0 = time.perf_counter()
     try:
-        params, results, checks = handler(args)
+        if "family" in args:
+            fam = None if args.family is None else load_family(args.family)
+            params, results, checks = handler(args, fam)
+            if fam is not None:
+                params = {"family": args.family, **params}
+        else:
+            params, results, checks = handler(args)
     except (DomainError, ScaleError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,10 @@ import re
 import warnings
 from pathlib import Path
 
-from .errors import DomainError, ParseError
-from .families import Family, elements_of, mask_of
+from .errors import ParseError
+from .families import MAX_GROUND, Family, elements_of, mask_of
 
-_HEADER = re.compile(r"^n\s*=\s*(\d+)$", re.ASCII)
+_HEADER = re.compile(r"^n\s*=\s*0*(\d+)$", re.ASCII)
 
 
 def parse_family(text: str) -> Family:
@@ -30,13 +30,19 @@ def parse_family(text: str) -> Family:
             m = _HEADER.match(line)
             if not m:
                 raise ParseError(f"line {lineno}: expected 'n=<ground size>', got {line!r}")
-            n = int(m.group(1))
+            digits = m.group(1)  # without leading zeros, so its length bounds it
+            if len(digits) > len(str(MAX_GROUND)) or not 1 <= int(digits) <= MAX_GROUND:
+                raise ParseError(f"line {lineno}: ground size outside [1, {MAX_GROUND}]")
+            n = int(digits)
             continue
         labels = []
         for tok in line.split():
             if not (tok.isascii() and tok.isdigit()):
                 raise ParseError(f"line {lineno}: bad label {tok!r}")
-            labels.append(int(tok))
+            try:
+                labels.append(int(tok))
+            except ValueError:  # int() refuses a label of thousands of digits
+                raise ParseError(f"line {lineno}: label outside ground [{n}]") from None
         if any(not 1 <= e <= n for e in labels):
             raise ParseError(f"line {lineno}: label outside ground [{n}]")
         if labels != sorted(set(labels)):
@@ -49,10 +55,7 @@ def parse_family(text: str) -> Family:
         masks.append(mask)
     if n is None:
         raise ParseError("line 1: missing 'n=<ground size>' header")
-    try:
-        return Family.from_masks(n, masks)
-    except DomainError as exc:
-        raise ParseError(str(exc)) from exc
+    return Family.from_masks(n, masks)
 
 
 def format_family(fam: Family) -> str:

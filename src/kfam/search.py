@@ -34,8 +34,8 @@ from itertools import combinations
 
 from math import comb
 
-from .constructions import c3, cross_closure, full_star, hilton_milner
-from .covers import covering_number, enumerate_minimal_tau2
+from .constructions import c3, full_star, hilton_milner
+from .covers import count_hitting_sets, covering_number, enumerate_minimal_tau2
 from .errors import DomainError, ScaleError
 from .families import (
     Family,
@@ -248,8 +248,8 @@ def lemmin_table(m: int, s: int, k: int, intersecting_only: bool = False):
         raise DomainError(f"need m >= k+s, got m={m}, k={k}, s={s}")
     rows = []
     for h in enumerate_minimal_tau2(m, s, intersecting_only=intersecting_only):
-        closure = cross_closure(h, k - 1)
-        rows.append((len(closure) + len(h), h, len(closure)))
+        hits = count_hitting_sets(h, k - 1)
+        rows.append((hits + len(h), h, hits))
     rows.sort(key=lambda r: (-r[0], r[1].members))
     return rows
 

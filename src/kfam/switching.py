@@ -10,7 +10,7 @@ and the pipeline reports an aborted status instead of forcing the move.
 
 Statuses: "converged", or "aborted:<reason>" with reason one of
 pass-cap, tau-drifted, tau-changed, shift-stuck, diversity-hypothesis,
-corollary-hypothesis, corollary-unavailable, uniformity.
+corollary-hypothesis, corollary-unavailable.
 """
 from __future__ import annotations
 
@@ -47,14 +47,12 @@ class PipelineResult:
 
 
 def exchange_Gi(fam: Family, pivot: int, core: Family, locked: int, i: int, m: int) -> Family:
-    """Per-element exchange at representative i for the core member mask m.
+    """Per-element exchange at representative i for the core member mask m:
+    the exchange at I = {i}.
 
     core is the minimal two-cover subfamily of the pivot-avoiding sets and
-    locked the mask of representatives fixed so far.  Removes every
-    pivot-avoiding set that contains all locked representatives but misses
-    i (m among them), together with the pivot-sets whose trace on locked+{i}
-    is exactly {i}; adds back m and the full layer of k-sets {pivot, i} + T
-    with T outside locked and meeting m.  Requires the small-diversity
+    locked the mask of representatives fixed so far; i lies in every core
+    member but m, so the added layer meets m.  Requires the small-diversity
     hypothesis; size never drops and intersection survives.
     """
     n = fam.n
@@ -73,34 +71,27 @@ def exchange_Gi(fam: Family, pivot: int, core: Family, locked: int, i: int, m: i
         raise DomainError("locked representatives must lie inside the core member")
     if locked & (rep_bit | pivot_bit):
         raise DomainError("representative or pivot already locked")
+    if any(not cm & rep_bit for cm in core.members if cm != m):
+        raise DomainError("representative must lie in every other core member")
 
-    avoid = [s for s in fam.members if not s & pivot_bit]
+    avoid = sum(1 for s in fam.members if not s & pivot_bit)
     bound = binom(n - 5, k - 3)
-    if len(avoid) > bound:
+    if avoid > bound:
         raise ExchangeError(
-            f"diversity-hypothesis: |F(pivot-bar)| = {len(avoid)} > C({n - 5},{k - 3}) = {bound}"
+            f"diversity-hypothesis: |F(pivot-bar)| = {avoid} > C({n - 5},{k - 3}) = {bound}"
         )
-    b_side = {s for s in avoid if s & locked == locked and not s & rep_bit}
-    removed = {
-        s
-        for s in fam.members
-        if s & pivot_bit and (s & ~pivot_bit) & (locked | rep_bit) == rep_bit
-    }
-    avail = full_mask(n) & ~(pivot_bit | rep_bit | locked)
-    # m comes back along with its layer
-    layer = [m] + [pivot_bit | rep_bit | t for t in subsets(avail, k - 2, (m,))]
-    return _apply_exchange(fam, b_side, removed, layer, "exchange",
-                           " despite the diversity hypothesis")
+    return _exchange(fam, pivot_bit, core, locked, rep_bit,
+                     _stray(fam, pivot_bit, core, locked, rep_bit))
 
 
 def exchange_transversal(fam: Family, pivot: int, core: Family, locked: int,
                          i_mask: int) -> Family:
-    """Transversal exchange at the hitting set mask I.
+    """Transversal exchange at the hitting set mask I, which meets every
+    core member outside the locked elements.
 
-    Deletes the stray pivot-avoiding sets that contain the locked elements
-    and miss I, adds every k-set {pivot} + I + T with T from the leftover
-    ground.  The deletion count must stay within the cross-intersecting
-    bound C(|Y|-t0, a-1); otherwise the step refuses.
+    The deleted strays must stay within the cross-intersecting bound
+    C(|Y|-t0, a-1), Y the ground left by the pivot, I and the locked
+    elements; otherwise the step refuses.
     """
     n = fam.n
     k = fam.uniform_k
@@ -116,52 +107,57 @@ def exchange_transversal(fam: Family, pivot: int, core: Family, locked: int,
         if not i_mask & (cm & ~locked):
             raise DomainError("I misses a stripped core member")
     if locked.bit_count() < isz + 1:
-        raise ExchangeError(
-            f"uniformity: need |locked| >= |I|+1, got {locked.bit_count()} < {isz + 1}"
-        )
+        raise DomainError(f"need |locked| >= |I|+1, got {locked.bit_count()} < {isz + 1}")
     a = k - 1 - isz
     if a < 0:
         raise DomainError("I is too large to sit inside a k-set with the pivot")
     b = k - locked.bit_count()
-    b_side = {
-        s for s in fam.members if not s & pivot_bit and s & locked == locked and not s & i_mask
-    }
-    if b_side & core.member_set:
-        raise InvariantError("a core member matched the stray-set pattern")
-    y_mask = full_mask(n) & ~(pivot_bit | locked | i_mask)
-    y = y_mask.bit_count()
+    stray = _stray(fam, pivot_bit, core, locked, i_mask)
+    y = (full_mask(n) & ~(pivot_bit | locked | i_mask)).bit_count()
     t0 = b + 1 - a
     if a >= 1 and b >= 1 and t0 >= 1 and y > a + b:
         threshold = binom(y - t0, a - 1)
-        if len(b_side) > threshold:
+        if len(stray) > threshold:
             raise ExchangeError(
-                f"corollary-hypothesis: |B| = {len(b_side)} > C({y - t0},{a - 1}) = {threshold}"
+                f"corollary-hypothesis: |B| = {len(stray)} > C({y - t0},{a - 1}) = {threshold}"
             )
-    elif b_side:
+    elif stray:
         raise ExchangeError(
             "corollary-unavailable: cross-intersecting bound out of range with nonempty B"
         )
-    removed = {
-        s
-        for s in fam.members
-        if s & pivot_bit and s & i_mask == i_mask and not s & locked
+    return _exchange(fam, pivot_bit, core, locked, i_mask, stray)
+
+
+def _stray(fam: Family, pivot_bit: int, core: Family, locked: int, i_mask: int) -> set:
+    """The pivot-avoiding sets outside the core that hold every locked
+    element and miss I."""
+    return {
+        s for s in fam.members
+        if not s & (pivot_bit | i_mask) and s & locked == locked and s not in core.member_set
     }
-    layer = [pivot_bit | i_mask | t for t in subsets(y_mask, a)]
-    return _apply_exchange(fam, b_side, removed, layer, "transversal exchange")
 
 
-def _apply_exchange(fam: Family, stray: set, removed: set, layer: list,
-                    what: str, why: str = "") -> Family:
-    """The tail both exchanges share: swap the stray and removed sets for the
-    layer, then check that the family kept its size and stayed intersecting."""
+def _exchange(fam: Family, pivot_bit: int, core: Family, locked: int, i_mask: int,
+              stray: set) -> Family:
+    """The exchange at I: swap the strays and the pivot-sets that hold I and
+    no locked element for every k-set {pivot} + I + T, with T outside the
+    pivot, I and the locked elements and meeting each core member that misses
+    I; then check that the family kept its size and stayed intersecting."""
+    removed = {
+        s for s in fam.members if s & pivot_bit and s & i_mask == i_mask and not s & locked
+    }
+    ground = full_mask(fam.n) & ~(pivot_bit | locked | i_mask)
+    missed = [cm for cm in core.members if not cm & i_mask]
+    layer = [pivot_bit | i_mask | t
+             for t in subsets(ground, fam.uniform_k - 1 - i_mask.bit_count(), missed)]
     if removed - set(layer):
         raise InvariantError("a removed pivot-set escaped the replacement layer")
     drop = stray | removed
     result = Family.from_masks(fam.n, [s for s in fam.members if s not in drop] + layer)
     if len(result) < len(fam):
-        raise InvariantError(f"{what} shrank the family{why}")
+        raise InvariantError("exchange shrank the family")
     if not is_intersecting(result):
-        raise InvariantError(f"{what} broke the intersecting property")
+        raise InvariantError("exchange broke the intersecting property")
     return result
 
 
@@ -257,8 +253,7 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                     locked |= 1 << (rep - 1)
 
             iprime_union = mask_of(e for pool in pools for e in pool)
-            core_set = set(core.members)
-            u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
+            u_sets = _stray(f, pivot_bit, core, 0, 0)
             if not u_sets:
                 return _finish(f, core, pivot_bit, log, passes)
             if any(s & iprime_union != iprime_union for s in u_sets):
@@ -297,7 +292,7 @@ def switch_pipeline(fam: Family) -> PipelineResult:
 
             for f in _run_stage(f, pivot, core, "transversal", iprime_union, iprime, log, passes):
                 pass
-            u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
+            u_sets = _stray(f, pivot_bit, core, 0, 0)
             if not u_sets:
                 return _finish(f, core, pivot_bit, log, passes)
             ib = 1 << (iprime - 1)
@@ -309,7 +304,7 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                 raise InvariantError("extended stage reached with a fully locked core member")
             for f in _run_stage(f, pivot, core, "extended", locked2, iprime, log, passes):
                 pass
-            u_sets = [s for s in f.members if not s & pivot_bit and s not in core_set]
+            u_sets = _stray(f, pivot_bit, core, 0, 0)
             if u_sets:
                 raise InvariantError("stray sets survived the extended stage")
             return _finish(f, core, pivot_bit, log, passes)

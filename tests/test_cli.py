@@ -122,6 +122,17 @@ def test_usage_and_domain_errors_exit_two(capsys, tmp_path, fixtures_dir, monkey
         assert capsys.readouterr().err == f"error: need 1 <= s <= m, got m={m} s={s}\n"
     assert run(["minimal-tau2", "--m", "13", "--s", "3"]) == 2
     assert "supported range is s <= 5, m <= 12" in capsys.readouterr().err
+    t2_k4 = str(fixtures_dir / "t2_k4.fam")
+    for argv, message in (
+        (["minimal-tau2"], "need either a family file or both --m and --s"),
+        (["hitcount", t2_k4, "--t", "8"], "need 0 <= t <= n, got t=8 n=7"),
+        (["hitcount", t2_k4, "--t", "-1"], "need 0 <= t <= n, got t=-1 n=7"),
+        (["construct", "star", "--n", "9", "--k", "0"], "need 1 <= k <= n, got n=9 k=0"),
+        (["construct", "t2", "--k", "1"], "need k >= 2, got k=1"),
+        (["construct", "t2prime", "--s", "0"], "need s >= 1, got s=0"),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     # a broken internal guarantee is a bug, told apart from a failed check (1)
     def broken(fam):
         raise InvariantError("exchange shrank the family")
@@ -141,7 +152,7 @@ def test_invariant_failure_reports_json_error(capsys, fixtures_dir, monkeypatch)
     def broken(args, fam):
         raise InvariantError("tau drifted")
     handler, help_, options = cli.COMMANDS[("tau",)]
-    monkeypatch.setitem(cli.COMMANDS, ("tau",), (cli._on_file(broken), help_, options))
+    monkeypatch.setitem(cli.COMMANDS, ("tau",), (broken, help_, options))
     path = str(fixtures_dir / "t2_k4.fam")
     assert run(["tau", path, "--expect", "2"]) == 3
     out, err = capsys.readouterr()
@@ -194,6 +205,16 @@ def test_minimal_tau2_from_file(capsys, fixtures_dir):
     assert code == 0
     assert len(report["results"]["subfamily"]) == 3
     assert report["results"]["representative_pools"] == [[5, 6, 7], [2], [1]]
+
+
+def test_minimal_tau2_from_file_below_two(capsys, tmp_path):
+    path = tmp_path / "star.fam"
+    path.write_text("n=5\n1 2\n1 3\n")
+    code, report = _invoke(capsys, ["minimal-tau2", str(path)])
+    assert code == 0
+    assert report["params"] == {"family": str(path)}
+    assert report["results"] == {"subfamily": None, "note": "covering number below 2"}
+    assert report["checks"] == []
 
 
 def test_shift_subcommand(capsys, fixtures_dir):

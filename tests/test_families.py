@@ -77,6 +77,17 @@ def test_family_rejects_out_of_ground():
         family(3, [{1, 4}])
 
 
+@pytest.mark.parametrize("n, members, fragment", [
+    (0, (), "ground size"),
+    (129, (), "ground size"),
+    (3, (1, 1), "duplicate member"),
+    (3, (2, 1), "sorted ascending"),
+])
+def test_family_rejects_bad_ground_and_unnormalized_members(n, members, fragment):
+    with pytest.raises(DomainError, match=fragment):
+        Family(n, members)
+
+
 def test_uniform_k():
     assert family(5, [{1, 2}, {3, 4}]).uniform_k == 2
     assert family(5, [{1, 2}, {3, 4, 5}]).uniform_k is None

@@ -52,6 +52,13 @@ def test_duplicate_member_warns():
         ("n=5\n1 7\n", "line 2"),
         ("n=5\n2 1\n", "line 2"),
         ("", "line 1"),
+        # a ground size or label is bounded before it is converted or used
+        ("n=200000000\n1 x\n", "line 1: ground size outside \\[1, 128\\]"),
+        ("n=0\n", "line 1: ground size outside"),
+        pytest.param("n=" + "9" * 5000 + "\n1 2\n", "line 1: ground size outside",
+                     id="header-of-5000-digits"),
+        pytest.param("n=5\n1 " + "9" * 5000 + "\n", "line 2: label outside ground",
+                     id="label-of-5000-digits"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):

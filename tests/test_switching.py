@@ -26,7 +26,6 @@ DOCUMENTED_ABORTS = {
     "diversity-hypothesis",
     "corollary-hypothesis",
     "corollary-unavailable",
-    "uniformity",
 }
 
 
@@ -163,6 +162,18 @@ def test_exchange_gi_rejects_bad_member():
         exchange_Gi(fam, 1, core, 0, rep, mask_of([1, 2, 3, 4]))  # contains the pivot
     with pytest.raises(DomainError):
         exchange_Gi(fam, 1, core, 0, rep, mask_of([2, 3, 6, 7]))  # not a core member
+    assert not any(cm & mask_of([9]) for cm in core.members)
+    with pytest.raises(DomainError, match="every other core member"):
+        exchange_Gi(fam, 1, core, 0, 9, core.members[0])  # 9 represents no member
+
+
+def test_exchange_transversal_needs_more_locked_elements_than_i():
+    # the pipeline always locks |I| + 1 or more elements, so a direct call
+    # with fewer is an argument error, not an abort
+    fam = _stray_instance()
+    core, _ = _gi_core(fam)
+    with pytest.raises(DomainError, match=r"need \|locked\| >= \|I\|\+1, got 0 < 3"):
+        switching.exchange_transversal(fam, 1, core, 0, mask_of([2, 3]))
 
 
 def _fat_diversity_instance():
@@ -226,8 +237,8 @@ def _run_checking_stage_rule(fam, monkeypatch):
     res = switch_pipeline(fam)
     monkeypatch.undo()
     # the z pools are nonempty and disjoint, so within the limits |I| + 1 never
-    # exceeds the locked count; a refused I past a limit leaves no trace entry
-    assert res.status != "aborted:uniformity"
+    # exceeds the locked count (else exchange_transversal raises DomainError);
+    # a refused I past a limit leaves no trace entry
     checked = 0
     for entry in res.trace:
         if entry["stage"] not in ("transversal", "extended"):
