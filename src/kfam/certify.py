@@ -7,7 +7,9 @@ pass at a grid point is a proof for that point.  Each inequality is one row
 of GRID_CHECKS: its dimensions, its hypotheses, each a bound on one
 dimension, and its check, which runs a line (the innermost dimension at
 fixed outer values) at a time.  A point that misses a hypothesis is
-skipped, not evaluated, and names the first hypothesis it misses.
+skipped, not evaluated, and names the first hypothesis it misses.  The two
+(k, s, m) rows read their binomials from columns that slide with the line,
+so each line computes only the tops it adds.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import DomainError
-from .formulas import binom, f_of_z, f_values, fprime3, size_c3, thm1_bound
+from .formulas import _f, _f_columns, _fprime3, binom, size_c3, thm1_bound
 
 # sqrt(e) in [1648721270, 1648721272] / 10^9.
 SQRT_E_LO = Fraction(1_648_721_270, 10**9)
@@ -81,36 +83,67 @@ def _g(n: int, k: int, i: int) -> int:
     return i**i * binom(n - i, k - i)
 
 
-# A row's check runs one line: given the outer values p and the line's values
-# inside every hypothesis, it returns one pass flag per value and sides(j),
-# the compared integer tuples (lhs, rhs) of the j-th value, asked only for
-# points the report keeps, so a failure is diagnosable from the report alone.
+def _sliding_columns():
+    """A fresh column reader col(r, lo, hi), the list of C(a, r) for
+    lo <= a < hi, that keeps per r a window of C(a, r) over a run of
+    consecutive tops a.  A request that overlaps or adjoins the window
+    computes only the tops it adds; any other starts a new window, so a
+    window never spans tops between requests.  certify_grid makes one per
+    run: no binomial is shared between runs."""
+    windows = {}  # r -> [first top, values]
+
+    def col(r, lo, hi):
+        w = windows.get(r)
+        if w is None or lo > w[0] + len(w[1]) or hi < w[0]:
+            w = windows[r] = [lo, []]
+        first, values = w
+        if lo < first:
+            values[:0] = [binom(a, r) for a in range(lo, first)]
+            w[0] = first = lo
+        end = first + len(values)
+        if hi > end:
+            values += [binom(a, r) for a in range(end, hi)]
+        return values[lo - first:hi - first]
+    return col
+
+
+# A row's check runs one line: given the outer values p, the line's values
+# inside every hypothesis and the run's column reader col, it returns one
+# pass flag per value and sides(j), the compared integer tuples (lhs, rhs)
+# of the j-th value, asked only for points the report keeps, so a failure is
+# diagnosable from the report alone.
 
 def _each(compare):
     """The line check that runs compare, which maps one point to
     (lhs, rhs, passed), on each point of the line by itself."""
-    def check(p, dim, values):
+    def check(p, dim, values, col):
         results = [compare({**p, dim: v}) for v in values]
         return [r[2] for r in results], lambda j: results[j][:2]
     return check
 
 
-def _check_f_mono(p, dim, zs):
+def _check_f_mono(p, dim, zs, col):
     """f(z-1) - f(z) against the step C(m-s-2, k-3), with f(2..s+1) computed
     once for the (k, s, m) line."""
     k, s, m = p["k"], p["s"], p["m"]
-    f = f_values(m, s, k, range(2, s + 2))
+    f = _f(*_f_columns(col, m, s, k), s, s + 1)
     step = binom(m - s - 2, k - 3)
     def sides(j):
         return (f[zs[j] - 3] - f[zs[j] - 2], step), (step, 1)
     return [step > 1 and f[z - 3] - f[z - 2] >= step for z in zs], sides
 
 
-def _check_f3_fprime3(p: dict) -> tuple:
-    k, s, m = p["k"], p["s"], p["m"]
-    diff = f_of_z(m, s, k, 3) - fprime3(m, s, k)
-    target = binom(m - s - 3, k - 3)
-    return (diff, target), (target, 1), diff == target and target >= 1
+def _check_f3_fprime3(p, dim, ms, col):
+    """f(3) - f'(3) against C(m-s-3, k-3), f and f' read from the same
+    columns at each m of the (k, s) line."""
+    k, s = p["k"], p["s"]
+    sides = []
+    for m in ms:
+        c1, c2 = _f_columns(col, m, s, k)
+        diff = _f(c1, c2, s, 3)[1] - _fprime3(c1, c2, s)
+        target = binom(m - s - 3, k - 3)
+        sides.append(((diff, target), (target, 1)))
+    return [lhs[0] == target and target >= 1 for lhs, (target, _) in sides], sides.__getitem__
 
 
 def _check_g_ratio(p: dict) -> tuple:
@@ -193,7 +226,7 @@ GRID_CHECKS = {
                 ("z", lambda p: range(3, p["s"] + 2))),
                (_K4, _S2, _M_KS, _Z3), _check_f_mono),
     "f3-fprime3": ((_K4_40, ("s", lambda p: range(4, p["k"] + 1)), _M41),
-                   (_K4, _S4, _M_KS), _each(_check_f3_fprime3)),
+                   (_K4, _S4, _M_KS), _check_f3_fprime3),
     "g-ratio": ((_K_BIG, _N_BIG, ("i", lambda p: range(6, p["k"] + 1))),
                 (*_BIG, _I6), _each(_check_g_ratio)),
     "two-g5": ((_K_BIG, _N_BIG), _BIG, _each(_check_two_g5)),
@@ -247,6 +280,7 @@ def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> G
     on = {dim: [h for h in hypotheses if h[1] == dim] for dim in names}
     report = GridReport(name)
     keep = report.points.append
+    col = _sliding_columns()
     p = {}
 
     def walk(level, skipped):
@@ -259,7 +293,7 @@ def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> G
                 walk(level + 1, skipped or (None if lo <= v <= hi else _missed(on[dim], p, v)))
             return
         inside = [v for v in values if lo <= v <= hi]
-        passed, sides = check(p, dim, inside) if inside else ((), None)
+        passed, sides = check(p, dim, inside, col) if inside else ((), None)
         n_passed = sum(passed)
         report.total += len(values)
         report.checked += len(inside)

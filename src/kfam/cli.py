@@ -14,9 +14,9 @@ place of results and checks.
 
 Every subcommand and mode is one row of ``COMMANDS``; its handler returns
 (params, results, checks), and ``run`` times it and prints the report.  For
-a command with a ``family`` argument, ``run`` loads the file, passes the
-family (None without a file) to handler(args, fam) and puts the file first
-in the params.  ``run`` may be called any number of times in one process:
+a command with a ``family`` argument, ``run`` loads the file, printing each
+warning as ``warning: ...`` on stderr, passes the family (None without a
+file) to handler(args, fam) and puts the file first in the params.  ``run`` may be called any number of times in one process:
 the parser is built on the first call, and each call looks its handler up
 in ``COMMANDS``.
 """
@@ -27,6 +27,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 
 from .certify import GRID_CHECKS, certify_grid
@@ -88,6 +89,19 @@ def _lookup(table: dict, key: str, args, options: tuple, what: str):
     if unread:
         raise DomainError(f"{what} {key} takes no {' '.join(unread)}")
     return func
+
+
+def _load_family(path) -> Family:
+    """load_family(path), printing each warning it raises on stderr as
+    "warning: ..." on every call; the warnings module would print it once
+    per process, with the library's source line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return load_family(path)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _write_output(args, results: dict, fam: Family | None) -> None:
@@ -273,9 +287,9 @@ def _formula_fz(a) -> tuple:
 
 
 def _formula_fprime3(a) -> tuple:
-    diff = f_of_z(a.m, a.s, a.k, 3) - fprime3(a.m, a.s, a.k)
-    gap = binom(a.m - a.s - 3, a.k - 3)
-    return {"fprime3": fprime3(a.m, a.s, a.k), "gap": diff}, [("fprime3-gap", diff, gap)]
+    f3, value = f_of_z(a.m, a.s, a.k, 3), fprime3(a.m, a.s, a.k)
+    diff, gap = f3 - value, binom(a.m - a.s - 3, a.k - 3)
+    return {"fprime3": value, "gap": diff}, [("fprime3-gap", diff, gap)]
 
 
 def _formula_hm(a) -> tuple:
@@ -419,7 +433,7 @@ def run(argv) -> int:
     t0 = time.perf_counter()
     try:
         if "family" in args:
-            fam = None if args.family is None else load_family(args.family)
+            fam = None if args.family is None else _load_family(args.family)
             params, results, checks = handler(args, fam)
             if fam is not None:
                 params = {"family": args.family, **params}

@@ -10,7 +10,9 @@ are kept in tests/helpers.py as oracles.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
 from math import comb
+from operator import sub
 
 from .errors import DomainError
 
@@ -70,23 +72,60 @@ def size_f2prime(m: int, s: int, k: int) -> int:
     return binom(m, k - 1) - 2 * binom(m - s, k - 1) + binom(m - 2 * s, k - 1)
 
 
+class _Tops:
+    """The column C(a, r) for lo <= a < hi, an entry or a slice computed
+    when it is read: the column reader of the one-point functions below."""
+
+    def __init__(self, r: int, lo: int, hi: int):
+        self.r, self.tops = r, range(lo, hi)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [binom(a, self.r) for a in self.tops[i]]
+        return binom(self.tops[i], self.r)
+
+
+def _f_columns(col, m: int, s: int, k: int) -> tuple:
+    """The binomials f and f' read at (m, s, k), from col(r, lo, hi), the
+    list of C(a, r) for lo <= a < hi: c1[i] = C(m-2s+i, k-1) for
+    0 <= i <= 2s, and c2[i] = C(m-s-2+i, k-2) for 0 <= i <= s+1."""
+    return col(k - 1, m - 2 * s, m + 1), col(k - 2, m - s - 2, m)
+
+
+def _f(c1: list, c2: list, s: int, last: int) -> list:
+    """[f(2), ..., f(last)] from the columns of _f_columns:
+    f(z) = C(m, k-1) - C(m-s, k-1) - C(m-s-1, k-1) + C(m-2s+z-2, k-1)
+           - (z-1) C(m-s-1, k-2),
+    the first three terms and the slope C(m-s-1, k-2) taken once."""
+    base = c1[2 * s] - c1[s] - c1[s - 1]
+    slope = c2[1]
+    # C(m-2s+z-2, k-1) - ((z-1) slope - base), the bracket accumulated over z
+    return list(map(sub, c1[:last - 1], accumulate(repeat(slope, last - 2), initial=slope - base)))
+
+
+def _fprime3(c1: list, c2: list, s: int) -> int:
+    """f'(3) from the columns of _f_columns, with s >= 4:
+    f'(3) = C(m-1, k-2) + C(m-2, k-2) + C(m-3, k-2) + C(m-4, k-2)
+            - 2 C(m-s-1, k-2) - 2 C(m-s-2, k-2)
+            + C(m-4, k-1) - C(m-s, k-1) - C(m-s-3, k-1) + C(m-2s+1, k-1)."""
+    return (sum(c2[-4:]) - 2 * (c2[1] + c2[0])
+            + c1[2 * s - 4] - c1[s] - c1[s - 3] + c1[1])
+
+
 def f_values(m: int, s: int, k: int, zs) -> list:
     """Maximum weight profile f(z) of a z-member minimal two-cover paired
     with its cross-meeting (k-1)-sets, for each z (2 <= z <= s+1) of the
-    sequence zs; the z-free terms are computed once, so the f-mono grid
-    asks for a whole (k, s, m) line in one call.  f(2) = size_f2prime, and
-    by Pascal's rule f(z-1) - f(z) = C(m-s-1, k-2) - C(m-2s+z-3, k-2)."""
+    sequence zs; the formula is _f's.  f(2) = size_f2prime, and by Pascal's
+    rule f(z-1) - f(z) = C(m-s-1, k-2) - C(m-2s+z-3, k-2)."""
     for z in zs:
         if not (2 <= z <= s + 1):
             raise DomainError(f"need 2 <= z <= s+1, got z={z} s={s}")
     if not (m >= 2 * s and k >= 2):
         raise DomainError(f"need m >= 2s and k >= 2, got m={m} s={s} k={k}")
-    base = binom(m, k - 1) - binom(m - s, k - 1) - binom(m - s - 1, k - 1)
-    slope = binom(m - s - 1, k - 2)
-    values = []
-    for z in zs:  # a loop, not a comprehension: no extra frame per call on 3.11
-        values.append(base + binom(m - 2 * s + z - 2, k - 1) - (z - 1) * slope)
-    return values
+    if not zs:
+        return []
+    f = _f(*_f_columns(_Tops, m, s, k), s, max(zs))
+    return [f[z - 2] for z in zs]
 
 
 def f_of_z(m: int, s: int, k: int, z: int) -> int:
@@ -95,16 +134,11 @@ def f_of_z(m: int, s: int, k: int, z: int) -> int:
 
 
 def fprime3(m: int, s: int, k: int) -> int:
-    """Second-best weight profile at z=3; differs from f_of_z(m, s, k, 3)
-    by exactly binom(m-s-3, k-3)."""
+    """Second-best weight profile at z=3, the formula of _fprime3; differs
+    from f_of_z(m, s, k, 3) by exactly binom(m-s-3, k-3)."""
     if not (s >= 4 and m >= 2 * s and k >= 2):
         raise DomainError(f"need s >= 4 and m >= 2s, got m={m} s={s} k={k}")
-    total = binom(m - 1, k - 2) - binom(m - s - 1, k - 2)
-    total += binom(m - 2, k - 2) - binom(m - s - 1, k - 2)
-    total += binom(m - 3, k - 2) - binom(m - s - 2, k - 2)
-    total += binom(m - 4, k - 2) - binom(m - s - 2, k - 2)
-    return (total + binom(m - 4, k - 1) - binom(m - s, k - 1)
-            - binom(m - s - 3, k - 1) + binom(m - 2 * s + 1, k - 1))
+    return _fprime3(*_f_columns(_Tops, m, s, k), s)
 
 
 def kz_bound(n: int, a: int, b: int, j: int | None = None) -> int:

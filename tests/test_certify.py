@@ -13,10 +13,12 @@ from math import factorial
 import pytest
 from helpers import POINTWISE_ROWS, pointwise_grid, sum_eqboundc2_layers
 
+import kfam.certify
 from kfam.certify import (
     GRID_CHECKS,
     SQRT_E_HI,
     SQRT_E_LO,
+    _sliding_columns,
     certify_grid,
 )
 from kfam.formulas import binom, f_of_z
@@ -100,9 +102,13 @@ _POOLS = {
     "final-compare": {"k": [95, 98, 99, 100, 101, 105, 120]},
 }
 # the default grids, f-mono cut to k <= 8; then a case with skipped points
-# (s > k, m < k+s, z > s+1) in shuffled order
+# (s > k, m < k+s, z > s+1) in shuffled order; then, for the rows read from
+# sliding columns, a gap of 10^9 in m that no column may span, and m descending
+_GAP = {"k": [5], "s": [4], "m": [20, 1000000000]}
 _FIXED = {"f-mono": [{"k": list(range(4, 9))},
-                     {"k": [9, 5], "s": [4, 9, 2], "m": [30, 12, 20, 21], "z": [6, 3, 4]}]}
+                     {"k": [9, 5], "s": [4, 9, 2], "m": [30, 12, 20, 21], "z": [6, 3, 4]},
+                     _GAP],
+          "f3-fprime3": [{}, _GAP, {"k": [7, 5], "s": [6, 4], "m": list(range(40, 8, -1))}]}
 
 
 def _seeded_ranges(name, seed):
@@ -127,6 +133,49 @@ def test_grid_matches_pointwise_reference(name):
             reasons |= {p["skipped"] for p in report["points"] if "skipped" in p}
     # every hypothesis of the row was missed somewhere, so every bound was crossed
     assert reasons == {reason for reason, _ in POINTWISE_ROWS[name][1]}
+
+
+def test_sliding_columns_match_binom(monkeypatch):
+    # seeded requests that overlap, adjoin, jump down or jump across a gap,
+    # with negative tops and r < 0; each computes only the tops its window
+    # lacks, and a window never spans the tops between two requests
+    computed = []
+    monkeypatch.setattr(kfam.certify, "binom", lambda a, r: computed.append(a) or binom(a, r))
+    for seed in range(20):
+        rng = random.Random(seed)
+        col = _sliding_columns()
+        held = {}  # r -> the tops its window holds, as a range
+        for _ in range(80):
+            r = rng.randint(-2, 6)
+            window = held.get(r)
+            at = window.start if window else rng.randint(-15, 15)
+            lo = rng.choice((at + rng.randint(-12, 12), at - 10**6, at + 10**6))
+            hi = lo + rng.randint(1, 9)
+            computed.clear()
+            assert col(r, lo, hi) == [binom(a, r) for a in range(lo, hi)], (seed, r, lo, hi)
+            if window and lo <= window.stop and hi >= window.start:
+                assert sorted(computed) == [a for a in range(lo, hi) if a not in window]
+                held[r] = range(min(lo, window.start), max(hi, window.stop))
+            else:
+                assert sorted(computed) == list(range(lo, hi))
+                held[r] = range(lo, hi)
+
+
+def test_interleaved_runs_match_the_reference_and_share_no_binomials(monkeypatch):
+    # runs of the two column rows taken in turn each match the referee, and
+    # each computes as many binomials when made again: no run reads columns
+    # another run built
+    cases = [(name, _seeded_ranges(name, seed)) for seed in range(6)
+             for name in ("f-mono", "f3-fprime3")]
+    computed = []
+    monkeypatch.setattr(kfam.certify, "binom", lambda a, r: computed.append(a) or binom(a, r))
+    counts = []
+    for name, ranges in cases + cases:
+        computed.clear()
+        report = certify_grid(name, ranges, full=True).to_json()
+        assert report == pointwise_grid(name, ranges, True), (name, ranges)
+        counts.append(len(computed))
+    assert counts[:len(cases)] == counts[len(cases):]
 
 
 def _declaration_problems(dims, hypotheses):

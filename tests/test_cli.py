@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from kfam import cli, covers
 from kfam.cli import run
 from kfam.errors import InvariantError
 from kfam.fileio import load_family, save_family
+from kfam.formulas import fprime3
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -185,6 +187,33 @@ def test_stats_of_empty_family(capsys, tmp_path):
     assert (res["size"], res["max_degree"], res["max_degree_element"], res["diversity"]) == (
         0, 0, None, 0)
     assert res["members"] == []
+
+
+def test_duplicate_member_warned_on_stderr_on_every_run(capsys, tmp_path):
+    path = tmp_path / "dup.fam"
+    path.write_text("n=5\n1 2\n1 2\n")
+    runs = []
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the report does not depend on the caller's filters
+            code = run(["stats", str(path)])
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        report.pop("runtime_ms")
+        runs.append((code, report, err))
+    assert runs[0] == runs[1]
+    assert runs[0][2] == "warning: duplicate member at line 3 dropped\n"
+    assert runs[0][1]["results"]["members"] == [[1, 2]]
+
+
+def test_formula_fprime3_evaluated_once(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "fprime3", lambda *a: calls.append(a) or fprime3(*a))
+    code, report = _invoke(
+        capsys, ["verify", "formula", "--name", "fprime3", "--m", "10", "--s", "4", "--k", "4"])
+    assert code == 0
+    assert calls == [(10, 4, 4)]
+    assert report["results"] == {"fprime3": fprime3(10, 4, 4), "gap": 3}
 
 
 def test_hitcount(capsys, fixtures_dir):
