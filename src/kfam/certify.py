@@ -4,10 +4,10 @@ Everything is exact: big integers, or rationals where the constant sqrt(e)
 appears.  It enters only through a hard-coded certified enclosure, and each
 comparison is made against the adverse end of that enclosure, so a reported
 pass at a grid point is a proof for that point.  Each inequality is one row
-of GRID_CHECKS: its dimensions, its hypotheses, each a bound on one
-dimension, and its check, which runs a line (the innermost dimension at
-fixed outer values) at a time.  A point that misses a hypothesis is
-skipped, not evaluated, and names the first hypothesis it misses.  The two
+of GRID_CHECKS: its dimensions, each carrying the one hypothesis that bounds
+it, and its check, which runs a line (the innermost dimension at fixed outer
+values) at a time.  A point that misses a hypothesis is skipped, not
+evaluated, and names the outermost hypothesis it misses.  The two
 (k, s, m) rows read their binomials from columns that slide with the line,
 so each line computes only the tops it adds.
 """
@@ -53,9 +53,6 @@ class GridReport:
     @property
     def all_pass(self) -> bool:
         return 0 < self.checked == self.passed
-
-    def failures(self) -> list:
-        return [p for p in self.points if p.skipped is None and not p.passed]
 
     def to_json(self) -> dict:
         return {
@@ -199,61 +196,41 @@ def _check_final_compare(p: dict) -> tuple:
     return (lhs1, lhs2), (rhs1, rhs2), lhs1 > rhs1 and lhs2 > rhs2
 
 
-# a dimension is (name, default values given the outer values p)
-_K4_40 = ("k", lambda p: range(4, 41))
-_M41 = ("m", lambda p: range(p["k"] + p["s"], p["k"] + p["s"] + 41))
-_K_BIG = ("k", lambda p: (100, 120))
-_N_BIG = ("n", lambda p: (2 * (p["k"] - 1) ** 2 + 1, 3 * (p["k"] - 1) ** 2))
+# a dimension is (name, default values given the outer values p, hypothesis);
+# the hypothesis (reason, lo, hi) holds when lo(p) <= value <= hi(p), a
+# bound of None being no bound, and a dimension without default values takes
+# every value from lo(p) to hi(p).  Defaults and bounds read only outer
+# dimensions.
+_K4 = ("needs k >= 4", lambda p: 4, None)
+_K4_40 = ("k", lambda p: range(4, 41), _K4)
+_M41 = ("m", lambda p: range(p["k"] + p["s"], p["k"] + p["s"] + 41),
+        ("needs m >= k+s", lambda p: p["k"] + p["s"], None))
+# the large-k regime
+_K_BIG = ("k", lambda p: (100, 120), ("needs k >= 100", lambda p: 100, None))
+_BIG = (_K_BIG, ("n", lambda p: (2 * (p["k"] - 1) ** 2 + 1, 3 * (p["k"] - 1) ** 2),
+                 ("needs n > 2(k-1)^2", lambda p: 2 * (p["k"] - 1) ** 2 + 1, None)))
 
-# a hypothesis (reason, dim, lo, hi) holds when lo(p) <= p[dim] <= hi(p), a
-# bound of None being no bound; lo and hi read only dimensions outer to dim,
-# and _BIG is the large-k regime
-_K4 = ("needs k >= 4", "k", lambda p: 4, None)
-_K100 = ("needs k >= 100", "k", lambda p: 100, None)
-_M_KS = ("needs m >= k+s", "m", lambda p: p["k"] + p["s"], None)
-_BIG = (_K100, ("needs n > 2(k-1)^2", "n", lambda p: 2 * (p["k"] - 1) ** 2 + 1, None))
-_S2 = ("needs 2 <= s <= k", "s", lambda p: 2, lambda p: p["k"])
-_S4 = ("needs 4 <= s <= k", "s", lambda p: 4, lambda p: p["k"])
-_Z3 = ("needs 3 <= z <= s+1", "z", lambda p: 3, lambda p: p["s"] + 1)
-_I6 = ("needs 6 <= i <= k", "i", lambda p: 6, lambda p: p["k"])
-_N50K = ("needs n >= 50(k-1)+1", "n", lambda p: 50 * (p["k"] - 1) + 1, None)
-_N2K = ("needs n > 2k", "n", lambda p: 2 * p["k"] + 1, None)
-
-# name -> (dimensions outermost first, hypotheses in the order of their
-# dimensions, line check)
+# name -> (dimensions outermost first, line check)
 GRID_CHECKS = {
-    "f-mono": ((_K4_40, ("s", lambda p: range(2, p["k"] + 1)), _M41,
-                ("z", lambda p: range(3, p["s"] + 2))),
-               (_K4, _S2, _M_KS, _Z3), _check_f_mono),
-    "f3-fprime3": ((_K4_40, ("s", lambda p: range(4, p["k"] + 1)), _M41),
-                   (_K4, _S4, _M_KS), _check_f3_fprime3),
-    "g-ratio": ((_K_BIG, _N_BIG, ("i", lambda p: range(6, p["k"] + 1))),
-                (*_BIG, _I6), _each(_check_g_ratio)),
-    "two-g5": ((_K_BIG, _N_BIG), _BIG, _each(_check_two_g5)),
-    "eqc3large": ((_K_BIG, _N_BIG), _BIG, _each(_check_eqc3large)),
-    "eqboundf": ((_K_BIG, ("n", lambda p: (50 * (p["k"] - 1) + 1, 2 * (p["k"] - 1) ** 2))),
-                 (_K100, _N50K), _each(_check_eqboundf)),
-    "eqboundc2": ((_K_BIG, ("n", lambda p: (2 * p["k"] + 1, 7 * p["k"], 50 * (p["k"] - 1)))),
-                  (_K4, _N2K), _each(_check_eqboundc2)),
-    "peel-combine": ((_K_BIG, _N_BIG), _BIG, _each(_check_peel_combine)),
-    "final-compare": ((_K_BIG,), (_K100,), _each(_check_final_compare)),
+    "f-mono": ((_K4_40, ("s", None, ("needs 2 <= s <= k", lambda p: 2, lambda p: p["k"])), _M41,
+                ("z", None, ("needs 3 <= z <= s+1", lambda p: 3, lambda p: p["s"] + 1))),
+               _check_f_mono),
+    "f3-fprime3": ((_K4_40, ("s", None, ("needs 4 <= s <= k", lambda p: 4, lambda p: p["k"])),
+                    _M41), _check_f3_fprime3),
+    "g-ratio": ((*_BIG, ("i", None, ("needs 6 <= i <= k", lambda p: 6, lambda p: p["k"]))),
+                _each(_check_g_ratio)),
+    "two-g5": (_BIG, _each(_check_two_g5)),
+    "eqc3large": (_BIG, _each(_check_eqc3large)),
+    "eqboundf": ((_K_BIG, ("n", lambda p: (50 * (p["k"] - 1) + 1, 2 * (p["k"] - 1) ** 2),
+                           ("needs n >= 50(k-1)+1", lambda p: 50 * (p["k"] - 1) + 1, None))),
+                 _each(_check_eqboundf)),
+    "eqboundc2": ((("k", lambda p: (100, 120), _K4),
+                   ("n", lambda p: (2 * p["k"] + 1, 7 * p["k"], 50 * (p["k"] - 1)),
+                    ("needs n > 2k", lambda p: 2 * p["k"] + 1, None))),
+                  _each(_check_eqboundc2)),
+    "peel-combine": (_BIG, _each(_check_peel_combine)),
+    "final-compare": ((_K_BIG,), _each(_check_final_compare)),
 }
-
-
-def _interval(hypotheses, p) -> tuple:
-    """The least and greatest value the hypotheses on one dimension allow at
-    outer values p."""
-    lo, hi = -inf, inf
-    for _, _, low, high in hypotheses:  # a loop: no comprehension frame per line on 3.11
-        lo = max(lo, low(p)) if low else lo
-        hi = min(hi, high(p)) if high else hi
-    return lo, hi
-
-
-def _missed(hypotheses, p, v):
-    """The reason of the first hypothesis on one dimension that v misses."""
-    return next(reason for reason, _, lo, hi in hypotheses
-                if lo and v < lo(p) or hi and v > hi(p))
 
 
 def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> GridReport:
@@ -261,15 +238,15 @@ def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> G
     parameter grid, a line of its innermost dimension at a time.  ranges
     maps dimension names to explicit value lists, each value listed once.
     Each hypothesis is tested once, at its dimension's level; a point that
-    misses one is skipped with the reason of the first it misses.  The
+    misses one is skipped with the reason of the outermost it misses.  The
     report counts every point and keeps those that did not pass, or every
     point when full is set."""
     if name not in GRID_CHECKS:
         raise KeyError(f"unknown inequality id: {name}; known: {sorted(GRID_CHECKS)}")
-    dims, hypotheses, check = GRID_CHECKS[name]
+    dims, check = GRID_CHECKS[name]
     ranges = ranges or {}
     # a point lists n first, as in C(n, k), then the rest outermost first
-    names = sorted((dim for dim, _ in dims), key=lambda dim: dim != "n")
+    names = sorted((dim for dim, _, _ in dims), key=lambda dim: dim != "n")
     unknown = [dim for dim in ranges if dim not in names]
     if unknown:
         raise DomainError(f"grid {name} has no dimension {', '.join(unknown)};"
@@ -277,20 +254,22 @@ def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> G
     twice = [f"{dim}={v}" for dim, vs in ranges.items() for v, c in Counter(vs).items() if c > 1]
     if twice:
         raise DomainError(f"grid {name} lists {twice[0]} more than once in its ranges")
-    on = {dim: [h for h in hypotheses if h[1] == dim] for dim in names}
     report = GridReport(name)
     keep = report.points.append
     col = _sliding_columns()
     p = {}
 
     def walk(level, skipped):
-        dim, default = dims[level]
-        values = ranges[dim] if dim in ranges else default(p)
-        lo, hi = (inf, -inf) if skipped else _interval(on[dim], p)  # skipped: no value inside
+        dim, default, (reason, low, high) = dims[level]
+        lo = low(p) if low else -inf
+        hi = high(p) if high else inf
+        values = ranges[dim] if dim in ranges else default(p) if default else range(lo, hi + 1)
+        if skipped:
+            lo, hi = inf, -inf  # no value inside
         if level + 1 < len(dims):
             for v in values:
                 p[dim] = v
-                walk(level + 1, skipped or (None if lo <= v <= hi else _missed(on[dim], p, v)))
+                walk(level + 1, skipped or (None if lo <= v <= hi else reason))
             return
         inside = [v for v in values if lo <= v <= hi]
         passed, sides = check(p, dim, inside, col) if inside else ((), None)
@@ -304,7 +283,7 @@ def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> G
         for v in values:
             p[dim] = v
             if not lo <= v <= hi:
-                keep(GridPoint({d: p[d] for d in names}, skipped=skipped or _missed(on[dim], p, v)))
+                keep(GridPoint({d: p[d] for d in names}, skipped=skipped or reason))
                 continue
             if full or not passed[j]:
                 keep(GridPoint({d: p[d] for d in names}, *sides(j), passed[j]))

@@ -16,9 +16,9 @@ Every subcommand and mode is one row of ``COMMANDS``; its handler returns
 (params, results, checks), and ``run`` times it and prints the report.  For
 a command with a ``family`` argument, ``run`` loads the file, printing each
 warning as ``warning: ...`` on stderr, passes the family (None without a
-file) to handler(args, fam) and puts the file first in the params.  ``run`` may be called any number of times in one process:
-the parser is built on the first call, and each call looks its handler up
-in ``COMMANDS``.
+file) to handler(args, fam) and puts the file first in the params.  ``run``
+may be called any number of times in one process: the parser is built on
+the first call, and each call looks its handler up in ``COMMANDS``.
 """
 from __future__ import annotations
 

@@ -89,10 +89,6 @@ class Family:
     def from_masks(cls, n: int, masks) -> "Family":
         return cls(n, tuple(sorted(set(masks))))
 
-    @classmethod
-    def from_sets(cls, n: int, sets) -> "Family":
-        return cls.from_masks(n, (mask_of(s) for s in sets))
-
     @cached_property
     def member_set(self) -> frozenset:
         return frozenset(self.members)
@@ -155,9 +151,8 @@ def degree(fam: Family, element: int) -> int:
 
 
 def max_degree(fam: Family) -> int:
-    if not fam.members:
-        return 0
-    return max(degree(fam, e) for e in range(1, fam.n + 1))
+    e = max_degree_element(fam)
+    return 0 if e is None else degree(fam, e)
 
 
 def max_degree_element(fam: Family) -> int | None:

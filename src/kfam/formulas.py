@@ -24,14 +24,6 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def ekr_bound(n: int, k: int) -> int:
-    """Largest intersecting k-uniform family over [n]: all sets through one
-    point."""
-    if not (k >= 1 and n >= 2 * k):
-        raise DomainError(f"need n >= 2k >= 2, got n={n} k={k}")
-    return binom(n - 1, k - 1)
-
-
 def hm_size(n: int, k: int) -> int:
     """Largest intersecting k-uniform family that is not a star (n > 2k)."""
     if not (k >= 2 and n > 2 * k):

@@ -43,14 +43,12 @@ from .families import (
     dedup_isomorphism_classes,
     elements_of,
     full_mask,
-    is_intersecting,
     mask_of,
     subsets,
 )
 from .shifting import shift_family
 
 SEARCH_VERTEX_CAP = 200
-SATURATE_CAP = 100_000
 
 
 @dataclass
@@ -215,27 +213,6 @@ def _bit_indices(bits: int):
     while bits:
         yield (bits & -bits).bit_length() - 1
         bits &= bits - 1
-
-
-def saturate(fam: Family) -> Family:
-    """Greedy extension to a maximal intersecting family, scanning all
-    k-sets in mask order.  Keeps the covering number from decreasing."""
-    k = fam.uniform_k
-    if k is None:
-        raise DomainError("saturate expects a nonempty uniform family")
-    if comb(fam.n, k) > SATURATE_CAP:
-        raise ScaleError(f"C({fam.n},{k}) exceeds the saturation cap {SATURATE_CAP}")
-    if not is_intersecting(fam):
-        raise DomainError("saturate expects an intersecting family")
-    current = list(fam.members)
-    have = set(current)
-    for m in subsets(full_mask(fam.n), k):
-        if m in have:
-            continue
-        if all(m & o for o in current):
-            current.append(m)
-            have.add(m)
-    return Family.from_masks(fam.n, current)
 
 
 def lemmin_table(m: int, s: int, k: int, intersecting_only: bool = False):

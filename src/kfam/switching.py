@@ -161,18 +161,12 @@ def _exchange(fam: Family, pivot_bit: int, core: Family, locked: int, i_mask: in
     return result
 
 
-def _run_stage(f: Family, pivot: int, core: Family, stage: str, locked: int,
-               i_prime: int, log: list, passes: int):
-    """One transversal-type stage: with `locked` fixed, exchange at every I the
-    stage admits that meets each stripped core member, smallest first.  With
-    z core members the transversal stage admits |I| <= z - 1 with i' in I,
-    the extended stage |I| <= z.  Yields each new family, so a caller stopped
-    by a refusal keeps the last one."""
-    z = len(core)
-    if stage == "transversal":
-        limit, need = z - 1, 1 << (i_prime - 1)
-    else:
-        limit, need = z, 0
+def _run_stage(f: Family, pivot: int, core: Family, stage: str, locked: int, need: int,
+               limit: int, log: list, passes: int):
+    """One transversal-type stage: with `locked` fixed, exchange at every I of
+    at most `limit` elements that holds the mask `need` and meets each
+    stripped core member, smallest first.  Yields each new family, so a
+    caller stopped by a refusal keeps the last one."""
     stripped = [cm & ~locked for cm in core.members]
     allowed = full_mask(f.n) & ~((1 << (pivot - 1)) | locked)
     for isz in range(1, min(limit, f.uniform_k - 1) + 1):
@@ -183,6 +177,18 @@ def _run_stage(f: Family, pivot: int, core: Family, stage: str, locked: int,
             f = exchange_transversal(f, pivot, core, locked, im)
             log.append(_entry(passes, stage, {"I": list(elements_of(im))}, before, f))
             yield f
+
+
+def _strays_left(f: Family, pivot_bit: int, core: Family, locked: int) -> bool:
+    """Whether stray pivot-avoiding sets are left for a stage that locks
+    `locked`.  Between stages every stray holds each locked element and no
+    core member is fully locked."""
+    strays = _stray(f, pivot_bit, core, 0, 0)
+    if any(s & locked != locked for s in strays):
+        raise InvariantError("a stray set misses a locked element")
+    if strays and any(cm & ~locked == 0 for cm in core.members):
+        raise InvariantError("a core member is fully locked")
+    return bool(strays)
 
 
 def _entry(passes: int, stage: str, move: dict, before: int, f: Family) -> dict:
@@ -252,18 +258,13 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                     log.append(_entry(passes, "per-element", move, before, f))
                     locked |= 1 << (rep - 1)
 
-            iprime_union = mask_of(e for pool in pools for e in pool)
-            u_sets = _stray(f, pivot_bit, core, 0, 0)
-            if not u_sets:
+            union = mask_of(e for pool in pools for e in pool)
+            if not _strays_left(f, pivot_bit, core, union):
                 return _finish(f, core, pivot_bit, log, passes)
-            if any(s & iprime_union != iprime_union for s in u_sets):
-                raise InvariantError("stray avoid-set missing a representative element")
-            stripped = [cm & ~iprime_union for cm in core.members]
-            if any(st == 0 for st in stripped):
-                raise InvariantError("core member swallowed by the representative union")
+            stripped = [cm & ~union for cm in core.members]
 
             iprime = None
-            for x in elements_of(full_mask(n) & ~(iprime_union | pivot_bit)):
+            for x in elements_of(full_mask(n) & ~(union | pivot_bit)):
                 if sum(1 for st in stripped if st >> (x - 1) & 1) >= 2:
                     iprime = x
                     break
@@ -290,24 +291,17 @@ def switch_pipeline(fam: Family) -> PipelineResult:
                     return PipelineResult(f, "aborted:tau-drifted", log, passes)
                 continue
 
-            for f in _run_stage(f, pivot, core, "transversal", iprime_union, iprime, log, passes):
-                pass
-            u_sets = _stray(f, pivot_bit, core, 0, 0)
-            if not u_sets:
-                return _finish(f, core, pivot_bit, log, passes)
+            # with z core members the transversal stage admits |I| <= z - 1
+            # with i' in I, the extended stage, i' locked, |I| <= z; the
+            # strays either stage leaves must hold i' too
             ib = 1 << (iprime - 1)
-            if any(not s & ib for s in u_sets):
-                raise InvariantError("a stray set avoiding i' survived the transversal stage")
-
-            locked2 = iprime_union | ib
-            if any(cm & ~locked2 == 0 for cm in core.members):
-                raise InvariantError("extended stage reached with a fully locked core member")
-            for f in _run_stage(f, pivot, core, "extended", locked2, iprime, log, passes):
-                pass
-            u_sets = _stray(f, pivot_bit, core, 0, 0)
-            if u_sets:
-                raise InvariantError("stray sets survived the extended stage")
-            return _finish(f, core, pivot_bit, log, passes)
+            for stage, locked, need, limit in (("transversal", union, ib, z - 1),
+                                               ("extended", union | ib, 0, z)):
+                for f in _run_stage(f, pivot, core, stage, locked, need, limit, log, passes):
+                    pass
+                if not _strays_left(f, pivot_bit, core, union | ib):
+                    return _finish(f, core, pivot_bit, log, passes)
+            raise InvariantError("stray sets survived the extended stage")
         except ExchangeError as err:
             reason = str(err).split(":", 1)[0]
             return PipelineResult(f, f"aborted:{reason}", log, passes)

@@ -31,7 +31,7 @@ ROOT = Path(__file__).parents[1]
 
 
 def family(n: int, sets) -> Family:
-    return Family.from_sets(n, sets)
+    return Family.from_masks(n, (mask_of(s) for s in sets))
 
 
 def run_python(*argv) -> subprocess.CompletedProcess:

@@ -18,7 +18,6 @@ from kfam.errors import DomainError
 from kfam.families import mask_of
 from kfam.formulas import (
     binom,
-    ekr_bound,
     f_of_z,
     f_values,
     fprime3,
@@ -61,7 +60,6 @@ def test_binom_pascal_and_symmetry(n, k):
 
 
 def test_frozen_values():
-    assert ekr_bound(7, 3) == 15
     assert hm_size(7, 3) == 13
     assert thm1_bound(7, 3, 3) == 13
     assert size_c3(7, 3) == 10
@@ -78,7 +76,6 @@ def test_frozen_values():
 
 def test_domain_guards():
     for call in (
-        lambda: ekr_bound(5, 3),
         lambda: hm_size(8, 4),
         lambda: hm_size(7, 1),
         lambda: thm1_bound(7, 3, 2),

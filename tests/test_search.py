@@ -9,27 +9,25 @@ from helpers import (
     brute_cnkt,
     brute_tau,
     perm_canonical,
-    random_intersecting_family,
     run_python,
 )
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.covers import covering_number
 from kfam.errors import DomainError, ScaleError
 from kfam.families import canonical_form, is_intersecting
-from kfam.formulas import ekr_bound, f_of_z, hm_size, thm1_bound
+from kfam.formulas import binom, f_of_z, hm_size, thm1_bound
 from kfam.search import (
     find_tau_dropping_shift,
     lemmin_oracle,
     lemmin_table,
     max_intersecting_tau,
-    saturate,
 )
 from kfam.shifting import shift_family
 
 
 def test_cnkt_frozen_small():
     assert max_intersecting_tau(5, 2, 2).optimum == 3
-    assert max_intersecting_tau(7, 3, 1).optimum == ekr_bound(7, 3) == 15
+    assert max_intersecting_tau(7, 3, 1).optimum == binom(6, 2) == 15
     assert max_intersecting_tau(7, 3, 2).optimum == hm_size(7, 3) == 13
     assert max_intersecting_tau(8, 3, 2).optimum == hm_size(8, 3) == 16
 
@@ -132,24 +130,6 @@ def test_cnkt_guards():
         max_intersecting_tau(7, 3, 4)
     with pytest.raises(DomainError):
         max_intersecting_tau(3, 4, 1)
-
-
-def test_saturate_fixed_point_on_maximal():
-    fam = c3(9, 4)
-    assert saturate(fam) == fam
-
-
-def test_saturate_never_loses_tau():
-    rng = random.Random(19)
-    for _ in range(40):
-        n = rng.randint(5, 9)
-        k = rng.randint(2, 3)
-        fam = random_intersecting_family(rng, n, k, rng.randint(1, 10))
-        before = covering_number(fam).tau
-        sat = saturate(fam)
-        assert fam.member_set <= sat.member_set
-        assert is_intersecting(sat)
-        assert covering_number(sat).tau >= before
 
 
 def test_lemmin_oracle_free_argmax():
