@@ -10,7 +10,7 @@ contains [k] and B_i = {1..i} + {k+1..2k-i} and is a maximal clique of
 g[i].  So Bron-Kerbosch with pivoting runs once per i = max(1, 2k-n) ..
 k-1 on g[i], rooted at R = {[k], B_i}; a clique found there has least
 intersection exactly i, so each optimal class is reached from one root.
-For k = 1 or n = k there is no pair, and the root is [k] alone.  Two
+For k = 1 or n = k there is no pair, and the root is [k] alone.  Three
 sound prunes cut the search:
 
  - size: the clique plus the number of classes in a greedy colouring of
@@ -19,7 +19,14 @@ sound prunes cut the search:
    cannot beat the incumbent, which starts from a known construction
    when one applies;
  - covers: if the union of current clique and candidates is hit by t - 1
-   elements, no subfamily can have covering number >= t.
+   elements, no subfamily can have covering number >= t;
+ - orbits: the elements lying in exactly the same members of the clique R
+   form a twin cell, and permuting elements inside cells fixes every
+   member of R.  So after the branch on a candidate v, each candidate with
+   v's cell signature (its elements in one-element cells and its count in
+   each larger cell) is an image of v, and every maximal clique through it
+   is an image of one through v; it joins v among the vertices done.  The
+   cells start from those of the root and split by each branched vertex.
 
 One exact check decides "hit by d elements" for the prune and for the
 covering number of a leaf: some chosen element must meet the lowest
@@ -48,7 +55,17 @@ from .families import (
 )
 from .shifting import shift_family
 
-SEARCH_VERTEX_CAP = 200
+# C(11,4).  Single-witness times of the cases with t <= 3 that a cap of 200
+# left out, on a 2-core x86-64 host: (10,4,t) 0.01 s, 0.06 s, 18.4 s and
+# (11,4,t) 0.01 s, 0.04 s, 20.0 s for t = 1, 2, 3; (10,5,t) 0.01-2.3 s;
+# (12,3), (13,3) and (n,2) for n = 21..26 at most 0.01 s; (10,6), (12,9),
+# (13,10) and (n,n-2) for n = 21..25, where every two k-sets meet, at most
+# 0.12 s.  At (11,7) and (26,24) the optimum, every k-set, is past
+# canonical_form's cap, so the call raises ScaleError after a 0.06 s search.
+# For n > 128, k = 1 and k = n-1 meet the Family's ground-set limit, as they
+# did under a cap of 200.  t = k >= 4 is not bounded: (9,4,4) did not finish
+# in 700 s.
+SEARCH_VERTEX_CAP = 330
 
 
 @dataclass
@@ -121,6 +138,7 @@ def max_intersecting_tau(
 
     nodes = 0
     pruned = 0
+    width = k.bit_length()  # bits of a count of at most k elements
 
     def family_of(rbits: int) -> Family:
         return Family.from_masks(n, (masks[v] for v in _bit_indices(rbits)))
@@ -149,7 +167,28 @@ def max_intersecting_tau(
                 q &= apart[vb.bit_length() - 1]
         return c
 
-    def expand(rbits: int, nr: int, p: int, x: int):
+    def signature(m: int, cells: list, single: int) -> int:
+        """m's singleton-cell elements, then its count in each larger cell."""
+        key = m & single
+        for c in cells:
+            key = key << width | (m & c).bit_count()
+        return key
+
+    # The orbit prune is sound.  A permutation s of [n] that maps each twin
+    # cell of R onto itself fixes R and every g[i], so it maps p | x, the
+    # vertices adjacent to all of R, onto itself, and a maximal clique
+    # through R onto one of the same size and covering number.  Two vertices
+    # lie in one orbit of these s exactly when they have one signature.
+    # Claim: every maximal clique through R and a vertex of x is reported,
+    # up to isomorphism, unless the size or the covers prune shows it cannot
+    # matter.  It holds at a root (x empty) and passes to a child, whose x
+    # is a subset of its parent's.  In the loop, v joins x once its subtree
+    # has run, which reports the maximal cliques through R + v (those
+    # through x by the claim, the rest by the search), and an orbit mate w
+    # joins with it, because an s with s(w) = v maps a maximal clique
+    # through R + w to one through R + v.  By induction on the DFS order
+    # the claim holds at every node, and the search misses no class.
+    def expand(rbits: int, nr: int, p: int, x: int, cells: list, single: int):
         nonlocal best, witnesses, nodes, pruned
         nodes += 1
         if p == 0 and x == 0:
@@ -184,13 +223,29 @@ def max_intersecting_tau(
                 pivot = u
             w &= w - 1
         ext = p & ~adj[pivot]
+        orbits = None
         while ext:
             vb = ext & -ext
             v = vb.bit_length() - 1
-            expand(rbits | vb, nr + 1, p & adj[v], x & adj[v])
-            p &= ~vb
-            x |= vb
+            mv = masks[v]
+            expand(rbits | vb, nr + 1, p & adj[v], x & adj[v], *_split(cells, single, mv))
             ext &= ~vb
+            orbit = vb
+            if cells and ext:
+                # with a cell of two or more elements, v may have orbit mates:
+                # group the candidates by signature, once per node
+                if orbits is None:
+                    orbits = {}
+                    w = p
+                    while w:
+                        ub = w & -w
+                        key = signature(masks[ub.bit_length() - 1], cells, single)
+                        orbits[key] = orbits.get(key, 0) | ub
+                        w ^= ub
+                orbit = orbits[signature(mv, cells, single)] & p
+            p &= ~orbit
+            x |= orbit
+            ext &= ~orbit
 
     pairs = [(i, mask_of([*range(1, i + 1), *range(k + 1, 2 * k - i + 1)]))
              for i in range(max(1, 2 * k - n), k)]
@@ -199,7 +254,8 @@ def max_intersecting_tau(
         apart = [~(a | 1 << v) for v, a in enumerate(adj)]
         other = masks.index(b)
         rbits = 1 << root | 1 << other
-        expand(rbits, rbits.bit_count(), adj[root] & adj[other], 0)
+        cells, single = _split(*_split([full_mask(n)], 0, masks[root]), b)
+        expand(rbits, rbits.bit_count(), adj[root] & adj[other], 0, cells, single)
 
     if all_optima:
         witnesses = dedup_isomorphism_classes(witnesses)
@@ -207,6 +263,20 @@ def max_intersecting_tau(
         (canonical_form(w) for w in witnesses), key=lambda f: f.members
     )
     return SearchResult(optimum=best, witnesses=out, nodes_explored=nodes, pruned=pruned)
+
+
+def _split(cells: list, single: int, m: int) -> tuple[list, int]:
+    """Twin cells refined by the member m: each cell of two or more elements
+    splits into its part inside m and its part outside; parts of one element
+    join the mask single."""
+    kids = []
+    for c in cells:
+        for part in (c & m, c & ~m):
+            if part & (part - 1):
+                kids.append(part)
+            else:
+                single |= part
+    return kids, single
 
 
 def _bit_indices(bits: int):

@@ -75,10 +75,30 @@ def test_cnkt_schedule_independent():
         for seed in (1, 2, 3):
             res = max_intersecting_tau(n, 3, 3, rng=random.Random(seed))
             assert (res.optimum, res.witnesses) == (base.optimum, base.witnesses)
-    base = max_intersecting_tau(7, 3, 3, all_optima=True)
-    for seed in (1, 2, 3):
-        res = max_intersecting_tau(7, 3, 3, all_optima=True, rng=random.Random(seed))
-        assert (res.optimum, res.witnesses) == (base.optimum, base.witnesses)
+    for n in (7, 8, 9, 10):
+        base = max_intersecting_tau(n, 3, 3, all_optima=True)
+        for seed in (1, 2, 3):
+            res = max_intersecting_tau(n, 3, 3, all_optima=True, rng=random.Random(seed))
+            assert (res.optimum, res.witnesses) == (base.optimum, base.witnesses)
+
+
+@pytest.mark.parametrize("n,k,t,optimum,classes", [
+    *[(n, 3, 1, math.comb(n - 1, 2), 1) for n in (7, 8, 9, 10)],
+    *[(n, 3, 2, hm, 2) for n, hm in ((7, 13), (8, 16), (9, 19), (10, 22))],
+    *[(n, 3, 3, 10, 7) for n in (7, 8, 9, 10)],
+    (9, 4, 1, 56, 1),
+    (9, 4, 2, 53, 1),
+])
+def test_cnkt_all_optima_class_counts(n, k, t, optimum, classes):
+    # recorded before the search pruned by orbits of the clique's twin cells:
+    # a prune that lost a class would lower the count
+    res = max_intersecting_tau(n, k, t, all_optima=True)
+    assert (res.optimum, len(res.witnesses)) == (optimum, classes)
+
+
+def test_cnkt_orbit_prune_fires():
+    # 2,222 nodes and 786 labeled optima when every candidate was branched on
+    assert max_intersecting_tau(10, 3, 3, all_optima=True).nodes_explored < 2222
 
 
 @pytest.mark.parametrize(
