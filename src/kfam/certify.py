@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import DomainError
-from .formulas import _f, _f_columns, _fprime3, binom, size_c3, thm1_bound
+from .formulas import _f, _f_columns, _f_steps, _fprime3, binom, size_c3, thm1_bound
 
 # sqrt(e) in [1648721270, 1648721272] / 10^9.
 SQRT_E_LO = Fraction(1_648_721_270, 10**9)
@@ -81,11 +81,12 @@ def _g(n: int, k: int, i: int) -> int:
 
 
 def _sliding_columns():
-    """A fresh column reader col(r, lo, hi), the list of C(a, r) for
-    lo <= a < hi, that keeps per r a window of C(a, r) over a run of
-    consecutive tops a.  A request that overlaps or adjoins the window
-    computes only the tops it adds; any other starts a new window, so a
-    window never spans tops between requests.  certify_grid makes one per
+    """A fresh column reader col(r, lo, hi), which returns (values, first)
+    with values[a - first] = C(a, r) for lo <= a < hi.  values is the window
+    of C(a, r) it keeps per r over a run of consecutive tops a, read in place
+    until the next request for r.  A request that overlaps or adjoins the
+    window computes only the tops it adds; any other starts a new window, so
+    a window never spans tops between requests.  certify_grid makes one per
     run: no binomial is shared between runs."""
     windows = {}  # r -> [first top, values]
 
@@ -100,7 +101,7 @@ def _sliding_columns():
         end = first + len(values)
         if hi > end:
             values += [binom(a, r) for a in range(end, hi)]
-        return values[lo - first:hi - first]
+        return values, first
     return col
 
 
@@ -120,14 +121,14 @@ def _each(compare):
 
 
 def _check_f_mono(p, dim, zs, col):
-    """f(z-1) - f(z) against the step C(m-s-2, k-3), with f(2..s+1) computed
-    once for the (k, s, m) line."""
+    """f(z-1) - f(z) against C(m-s-2, k-3), each step of f read from the
+    columns of the (k, s, m) line."""
     k, s, m = p["k"], p["s"], p["m"]
-    f = _f(*_f_columns(col, m, s, k), s, s + 1)
-    step = binom(m - s - 2, k - 3)
+    steps = _f_steps(*_f_columns(col, m, s, k), zs)
+    target = binom(m - s - 2, k - 3)
     def sides(j):
-        return (f[zs[j] - 3] - f[zs[j] - 2], step), (step, 1)
-    return [step > 1 and f[z - 3] - f[z - 2] >= step for z in zs], sides
+        return (steps[j], target), (target, 1)
+    return list(map(target.__le__, steps)) if target > 1 else [False] * len(zs), sides
 
 
 def _check_f3_fprime3(p, dim, ms, col):
@@ -271,7 +272,9 @@ def certify_grid(name: str, ranges: dict | None = None, full: bool = False) -> G
                 p[dim] = v
                 walk(level + 1, skipped or (None if lo <= v <= hi else reason))
             return
-        inside = [v for v in values if lo <= v <= hi]
+        # a line over its dimension's own interval lies inside the hypothesis
+        own = not (skipped or default or dim in ranges)
+        inside = values if own else [v for v in values if lo <= v <= hi]
         passed, sides = check(p, dim, inside, col) if inside else ((), None)
         n_passed = sum(passed)
         report.total += len(values)

@@ -182,31 +182,34 @@ def _count_vectors(z: int, s: int, m: int) -> list[tuple[int, ...]]:
     member covered s times and at most m elements in all."""
     full = (1 << z) - 1
     types = range(1, full)
-    last = {i: t for t in types for i in range(z) if t >> i & 1}
+    holders = {t: [i for i in range(z) if t >> i & 1] for t in types}
+    last = {i: t for t in types for i in holders[t]}
     # one element in each pool is laid down first: member i lies in the
     # z - 1 pools of the others
     counts = [int((full ^ t).bit_count() == 1) for t in types]
     out = []
 
     def rec(t: int, need: list, room: int):
-        if t == full:
+        if not any(need):
             out.append(tuple(counts))
             return
-        holders = [i for i in range(z) if t >> i & 1]
-        # the last type holding a member must fill it
-        lo = max([0] + [need[i] for i in holders if last[i] == t])
-        hi = min([room] + [need[i] for i in holders])
-        base = counts[t - 1]
-        for x in range(lo, hi + 1):
-            counts[t - 1] = base + x
-            for i in holders:
-                need[i] -= x
-            rec(t + 1, need, room - x)
-            for i in holders:
-                need[i] += x
-        counts[t - 1] = base
+        # the next type u with a positive count comes no later than the
+        # last type of any member still in need, which must fill it
+        for u in range(t, min(last[i] for i in range(z) if need[i]) + 1):
+            lo = max([1] + [need[i] for i in holders[u] if last[i] == u])
+            hi = min([room] + [need[i] for i in holders[u]])
+            base = counts[u - 1]
+            for x in range(lo, hi + 1):
+                counts[u - 1] = base + x
+                for i in holders[u]:
+                    need[i] -= x
+                rec(u + 1, need, room - x)
+                for i in holders[u]:
+                    need[i] += x
+            counts[u - 1] = base
 
-    rec(1, [s - z + 1] * z, m - z)  # m < z leaves no room: no vectors
+    if m >= z:  # else the first elements leave no room: no vectors
+        rec(1, [s - z + 1] * z, m - z)
     return out
 
 

@@ -10,7 +10,7 @@ are kept in tests/helpers.py as oracles.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import comb
 from operator import sub
 
@@ -64,44 +64,63 @@ def size_f2prime(m: int, s: int, k: int) -> int:
     return binom(m, k - 1) - 2 * binom(m - s, k - 1) + binom(m - 2 * s, k - 1)
 
 
-class _Tops:
-    """The column C(a, r) for lo <= a < hi, an entry or a slice computed
-    when it is read: the column reader of the one-point functions below."""
+class _Tops(dict):
+    """The column C(a, r) keyed by its top a, each entry computed when it
+    is first read."""
 
-    def __init__(self, r: int, lo: int, hi: int):
-        self.r, self.tops = r, range(lo, hi)
+    def __init__(self, r: int):
+        self.r = r
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [binom(a, self.r) for a in self.tops[i]]
-        return binom(self.tops[i], self.r)
+    def __missing__(self, a: int) -> int:
+        self[a] = value = binom(a, self.r)
+        return value
+
+
+def _tops_as_read(r: int, lo: int, hi: int) -> tuple:
+    """The column reader of the one-point functions below, in the form of
+    _f_columns' col: nothing is computed before it is read."""
+    return _Tops(r), 0
 
 
 def _f_columns(col, m: int, s: int, k: int) -> tuple:
-    """The binomials f and f' read at (m, s, k), from col(r, lo, hi), the
-    list of C(a, r) for lo <= a < hi: c1[i] = C(m-2s+i, k-1) for
-    0 <= i <= 2s, and c2[i] = C(m-s-2+i, k-2) for 0 <= i <= s+1."""
-    return col(k - 1, m - 2 * s, m + 1), col(k - 2, m - s - 2, m)
+    """The binomials f and f' read at (m, s, k), from col(r, lo, hi), which
+    returns (values, first) with values[a - first] = C(a, r) for
+    lo <= a < hi.  Each column comes back as (values, origin), its i-th entry
+    at values[origin + i]: c1[i] = C(m-2s+i, k-1) for 0 <= i <= 2s, and
+    c2[i] = C(m-s-2+i, k-2) for 0 <= i <= s+1."""
+    (v1, first1), (v2, first2) = col(k - 1, m - 2 * s, m + 1), col(k - 2, m - s - 2, m)
+    return (v1, m - 2 * s - first1), (v2, m - s - 2 - first2)
 
 
-def _f(c1: list, c2: list, s: int, last: int) -> list:
+def _f_steps(c1: tuple, c2: tuple, zs) -> list:
+    """[f(z-1) - f(z) for z in zs] from the columns of _f_columns:
+    f(z-1) - f(z) = C(m-2s+z-3, k-1) - C(m-2s+z-2, k-1) + C(m-s-1, k-2)."""
+    (v1, o1), (v2, o2) = c1, c2
+    at, slope = o1 - 3, v2[o2 + 1]
+    return [v1[at + z] - v1[at + z + 1] + slope for z in zs]
+
+
+def _f(c1: tuple, c2: tuple, s: int, last: int) -> list:
     """[f(2), ..., f(last)] from the columns of _f_columns:
+    f(2) = C(m, k-1) - C(m-s, k-1) - C(m-s-1, k-1) + C(m-2s, k-1)
+           - C(m-s-1, k-2),
+    then f(z) = f(z-1) less the step of _f_steps.  The steps sum to
     f(z) = C(m, k-1) - C(m-s, k-1) - C(m-s-1, k-1) + C(m-2s+z-2, k-1)
-           - (z-1) C(m-s-1, k-2),
-    the first three terms and the slope C(m-s-1, k-2) taken once."""
-    base = c1[2 * s] - c1[s] - c1[s - 1]
-    slope = c2[1]
-    # C(m-2s+z-2, k-1) - ((z-1) slope - base), the bracket accumulated over z
-    return list(map(sub, c1[:last - 1], accumulate(repeat(slope, last - 2), initial=slope - base)))
+           - (z-1) C(m-s-1, k-2)."""
+    (v1, o1), (v2, o2) = c1, c2
+    f2 = v1[o1 + 2 * s] - v1[o1 + s] - v1[o1 + s - 1] + v1[o1] - v2[o2 + 1]
+    return list(accumulate(_f_steps(c1, c2, range(3, last + 1)), sub, initial=f2))
 
 
-def _fprime3(c1: list, c2: list, s: int) -> int:
+def _fprime3(c1: tuple, c2: tuple, s: int) -> int:
     """f'(3) from the columns of _f_columns, with s >= 4:
     f'(3) = C(m-1, k-2) + C(m-2, k-2) + C(m-3, k-2) + C(m-4, k-2)
             - 2 C(m-s-1, k-2) - 2 C(m-s-2, k-2)
             + C(m-4, k-1) - C(m-s, k-1) - C(m-s-3, k-1) + C(m-2s+1, k-1)."""
-    return (sum(c2[-4:]) - 2 * (c2[1] + c2[0])
-            + c1[2 * s - 4] - c1[s] - c1[s - 3] + c1[1])
+    (v1, o1), (v2, o2) = c1, c2
+    return (v2[o2 + s + 1] + v2[o2 + s] + v2[o2 + s - 1] + v2[o2 + s - 2]
+            - 2 * (v2[o2 + 1] + v2[o2])
+            + v1[o1 + 2 * s - 4] - v1[o1 + s] - v1[o1 + s - 3] + v1[o1 + 1])
 
 
 def f_values(m: int, s: int, k: int, zs) -> list:
@@ -116,7 +135,7 @@ def f_values(m: int, s: int, k: int, zs) -> list:
         raise DomainError(f"need m >= 2s and k >= 2, got m={m} s={s} k={k}")
     if not zs:
         return []
-    f = _f(*_f_columns(_Tops, m, s, k), s, max(zs))
+    f = _f(*_f_columns(_tops_as_read, m, s, k), s, max(zs))
     return [f[z - 2] for z in zs]
 
 
@@ -130,7 +149,7 @@ def fprime3(m: int, s: int, k: int) -> int:
     from f_of_z(m, s, k, 3) by exactly binom(m-s-3, k-3)."""
     if not (s >= 4 and m >= 2 * s and k >= 2):
         raise DomainError(f"need s >= 4 and m >= 2s, got m={m} s={s} k={k}")
-    return _fprime3(*_f_columns(_Tops, m, s, k), s)
+    return _fprime3(*_f_columns(_tops_as_read, m, s, k), s)
 
 
 def kz_bound(n: int, a: int, b: int, j: int | None = None) -> int:

@@ -62,9 +62,9 @@ from .shifting import shift_family
 # (13,10) and (n,n-2) for n = 21..25, where every two k-sets meet, at most
 # 0.12 s.  At (11,7) and (26,24) the optimum, every k-set, is past
 # canonical_form's cap, so the call raises ScaleError after a 0.06 s search.
-# For n > 128, k = 1 and k = n-1 meet the Family's ground-set limit, as they
-# did under a cap of 200.  t = k >= 4 is not bounded: (9,4,4) did not finish
-# in 700 s.
+# For n > 128, k = 1 and k = n-1 pass the cap but not the Family's ground-set
+# limit, which is checked before any k-set is listed.  t = k >= 4 is not
+# bounded: (9,4,4) did not finish in 700 s.
 SEARCH_VERTEX_CAP = 330
 
 
@@ -105,6 +105,7 @@ def max_intersecting_tau(
         raise DomainError(f"need 1 <= t <= k, got t={t}")
     if comb(n, k) > SEARCH_VERTEX_CAP:
         raise ScaleError(f"C({n},{k}) = {comb(n, k)} exceeds the search cap {SEARCH_VERTEX_CAP}")
+    Family(n, ())  # the ground-set limit, before any k-set is listed
 
     masks = list(subsets(full_mask(n), k))
     # greedy colouring pairs k-sets in lexicographic order poorly (81 classes

@@ -103,12 +103,14 @@ _POOLS = {
 }
 # the default grids, f-mono cut to k <= 8; then a case with skipped points
 # (s > k, m < k+s, z > s+1) in shuffled order; then, for the rows read from
-# sliding columns, a gap of 10^9 in m that no column may span, and m descending
+# sliding columns, a gap of 10^9 in m that no column may span, m descending,
+# and the top of the default grids, k = 40 at its least and greatest s
 _GAP = {"k": [5], "s": [4], "m": [20, 1000000000]}
 _FIXED = {"f-mono": [{"k": list(range(4, 9))},
                      {"k": [9, 5], "s": [4, 9, 2], "m": [30, 12, 20, 21], "z": [6, 3, 4]},
-                     _GAP],
-          "f3-fprime3": [{}, _GAP, {"k": [7, 5], "s": [6, 4], "m": list(range(40, 8, -1))}]}
+                     _GAP, {"k": [40], "s": [2, 39, 40]}],
+          "f3-fprime3": [{}, _GAP, {"k": [7, 5], "s": [6, 4], "m": list(range(40, 8, -1))},
+                         {"k": [40], "s": [4, 40]}]}
 
 
 def _seeded_ranges(name, seed):
@@ -138,7 +140,8 @@ def test_grid_matches_pointwise_reference(name):
 def test_sliding_columns_match_binom(monkeypatch):
     # seeded requests that overlap, adjoin, jump down or jump across a gap,
     # with negative tops and r < 0; each computes only the tops its window
-    # lacks, and a window never spans the tops between two requests
+    # lacks, and the window it returns holds exactly the tops requested since
+    # it began, so it never spans the tops between two requests
     computed = []
     monkeypatch.setattr(kfam.certify, "binom", lambda a, r: computed.append(a) or binom(a, r))
     for seed in range(20):
@@ -152,13 +155,16 @@ def test_sliding_columns_match_binom(monkeypatch):
             lo = rng.choice((at + rng.randint(-12, 12), at - 10**6, at + 10**6))
             hi = lo + rng.randint(1, 9)
             computed.clear()
-            assert col(r, lo, hi) == [binom(a, r) for a in range(lo, hi)], (seed, r, lo, hi)
+            values, first = col(r, lo, hi)
+            expected = [binom(a, r) for a in range(lo, hi)]
+            assert values[lo - first:hi - first] == expected, (seed, r, lo, hi)
             if window and lo <= window.stop and hi >= window.start:
                 assert sorted(computed) == [a for a in range(lo, hi) if a not in window]
                 held[r] = range(min(lo, window.start), max(hi, window.stop))
             else:
                 assert sorted(computed) == list(range(lo, hi))
                 held[r] = range(lo, hi)
+            assert range(first, first + len(values)) == held[r]
 
 
 def test_interleaved_runs_match_the_reference_and_share_no_binomials(monkeypatch):

@@ -13,10 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import sum_f_of_z, sum_fprime3, sum_size_c3, sum_size_f2prime
-from kfam.certify import GRID_CHECKS, certify_grid
+from kfam.certify import GRID_CHECKS, _sliding_columns, certify_grid
 from kfam.errors import DomainError
 from kfam.families import mask_of
 from kfam.formulas import (
+    _f_columns,
+    _f_steps,
+    _tops_as_read,
     binom,
     f_of_z,
     f_values,
@@ -165,6 +168,22 @@ def test_f_monotone_in_z_desk_scale():
                     continue
                 for z in range(3, s + 2):
                     assert f_of_z(m, s, k, z - 1) >= f_of_z(m, s, k, z)
+
+
+def test_f_steps_match_layer_sum_differences():
+    # the steps f(z-1) - f(z) that f-mono compares, read through the
+    # one-point reader and through sliding columns, at seeded (k, s, m) up to
+    # k = 40 with z in shuffled order; at s = 2 a line has the one step z = 3
+    rng = random.Random(0)
+    col = _sliding_columns()
+    for _ in range(150):
+        k = rng.randint(4, 40)
+        s = rng.choice((2, rng.randint(2, k)))
+        m = rng.randint(k + s, k + s + 40)
+        zs = rng.sample(range(3, s + 2), s - 1)
+        expected = [sum_f_of_z(m, s, k, z - 1) - sum_f_of_z(m, s, k, z) for z in zs]
+        for reader in (_tops_as_read, col):
+            assert _f_steps(*_f_columns(reader, m, s, k), zs) == expected, (m, s, k)
 
 
 def test_closed_forms_match_layer_sums():

@@ -11,6 +11,7 @@ from helpers import (
     perm_canonical,
     run_python,
 )
+import kfam.search
 from kfam.constructions import c3, full_star, t2, t2prime
 from kfam.covers import covering_number
 from kfam.errors import DomainError, ScaleError
@@ -150,6 +151,17 @@ def test_cnkt_guards():
         max_intersecting_tau(7, 3, 4)
     with pytest.raises(DomainError):
         max_intersecting_tau(3, 4, 1)
+
+
+@pytest.mark.parametrize("n, k, t", [(129, 128, 1), (129, 128, 3), (330, 329, 3)])
+def test_cnkt_ground_limit_before_set_up(monkeypatch, n, k, t):
+    # C(n, n-1) = n is under the vertex cap, but n is past the Family's
+    # ground-set limit: the call refuses before it lists a k-set
+    def listed(*args):
+        raise AssertionError("k-sets listed")
+    monkeypatch.setattr(kfam.search, "subsets", listed)
+    with pytest.raises(DomainError, match=rf"ground size must be in \[1, 128\], got {n}"):
+        max_intersecting_tau(n, k, t)
 
 
 def test_lemmin_oracle_free_argmax():
